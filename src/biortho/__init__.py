@@ -29,6 +29,7 @@ from .chgue import (
     kernel_sum_check,
     laguerre_cd_kernel,
     rank_decomposition,
+    residue_kernel,
     scaled_laguerre_eta,
     w_alpha,
 )

@@ -469,7 +469,7 @@ def _kernel_diagonal_reference(m: SourceModel) -> Callable:
             w = lambda t: t**alpha * np.exp(-t)
         else:
             p = ChgueParams(float(m.alpha), m.a)
-            return lambda xs: np.array([chgue_kernel(p, v, v) for v in np.atleast_1d(xs)])
+            return lambda xs: chgue_kernel(p, xs, xs)
     else:
         if any(v != 0 for v in m.a):
             raise DomainError(

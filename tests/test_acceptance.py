@@ -37,6 +37,7 @@ from biortho import (
     laguerre,
     op_from_weight,
     rank_decomposition,
+    residue_kernel,
     rho1_check,
     sample_spectra,
     type_one,
@@ -173,7 +174,7 @@ def test_criterion_4_kernel_staircase_sum():
         p = ChgueParams(0.5, a)
         for _ in range(5):
             x, y = rng.uniform(0.2, 6.0, size=2)
-            kernel = chgue_kernel(p, float(x), float(y))
+            kernel = residue_kernel(p, float(x), float(y))
             total = 0.0
             for k in range(1, n + 1):
                 pk = (

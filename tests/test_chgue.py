@@ -1,6 +1,7 @@
 """Chiral-GUE-with-source closed forms against the generic machinery."""
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -9,6 +10,7 @@ from biortho import (
     Composition,
     ConfluentError,
     ConfluentSpec,
+    ConvergenceError,
     DomainError,
     EnsembleSpec,
     HalfLine,
@@ -27,13 +29,67 @@ from biortho import (
     laguerre_cd_kernel,
     pdf_eval,
     rank_decomposition,
+    residue_kernel,
     type_one,
     type_two,
     w_alpha,
     xi_family,
 )
+from biortho import chgue
 from biortho.ensembles import _dx_rule
 from biortho.numerics import integrate_nd, log_gamma
+
+
+def mp_divided_difference(f, nodes):
+    """50-digit divided difference of ``f`` over ``nodes`` by residues of
+    ``f(v) / prod(v - node)``: each distinct node ``b`` of multiplicity ``m``
+    contributes the ``(m-1)``-th derivative of ``f(v) / prod_{c != b}
+    (v - c)^{m_c}`` at ``b`` over ``(m-1)!``; for distinct nodes this is the
+    partial-fraction sum."""
+    mult = {}
+    for v in nodes:
+        mult[v] = mult.get(v, 0) + 1
+    total = mp.mpf(0)
+    for b, m in mult.items():
+        def g(v, b=b):
+            return f(v) / mp.fprod((v - c) ** k for c, k in mult.items() if c != b)
+
+        total += mp.diff(g, mp.mpf(b), m - 1) / mp.factorial(m - 1)
+    return total
+
+
+@mp.workdps(50)
+def mp_type_one(alpha, a, x):
+    x, alpha = mp.mpf(x), mp.mpf(alpha)
+    f = lambda v: mp.exp(-v) * mp.hyp0f1(alpha + 1, x * v)
+    return float(x**alpha * mp.exp(-x) / mp.gamma(alpha + 1) * mp_divided_difference(f, a))
+
+
+@mp.workdps(50)
+def mp_kernel(alpha, a, x, y):
+    """50-digit kernel sum_ij eta_i(x) c_ij xi_j(y), c = g^{-T}, from the
+    closed-form Gram g_ij = a_j^{i-1} e^{a_j}."""
+    alpha, x, y = mp.mpf(alpha), mp.mpf(x), mp.mpf(y)
+    a = [mp.mpf(v) for v in a]
+    n = len(a)
+    gram = mp.matrix([[a[j] ** i * mp.exp(a[j]) for j in range(n)] for i in range(n)])
+    eta = mp.matrix([(-1) ** i * mp.factorial(i) * mp.laguerre(i, alpha, x) for i in range(n)])
+    xi = mp.matrix(
+        [y**alpha * mp.exp(-y) * mp.hyp0f1(alpha + 1, aj * y) / mp.gamma(alpha + 1) for aj in a]
+    )
+    return float((eta.T * mp.lu_solve(gram.T, xi))[0])
+
+
+def confluent_kernel(alpha, a):
+    """Independent kernel for decreasing sources with repeats, through the
+    confluent weight system and the generic monomial-eta machinery."""
+    n = len(a)
+    b = tuple(dict.fromkeys(a))
+    mult = tuple(sum(1 for v in a if v == bv) for bv in b)
+    ws, comp = confluent_weights(ConfluentSpec(b=b, m=Composition(mult)), alpha)
+    xi = tuple(xi_family(ws, comp))
+    eta = tuple((lambda x, i=i: np.asarray(x, dtype=float) ** i) for i in range(n))
+    return build_kernel(EnsembleSpec(n=n, interval=HalfLine(), eta=eta, xi=xi, quad=ws.quad))
 
 
 class TestWeightAndParams:
@@ -58,6 +114,10 @@ class TestWeightAndParams:
             ChgueParams(0.0, (-1.0,))
         with pytest.raises(DomainError):
             ChgueParams(0.0, ())
+        for alpha, a in ((math.nan, (1.0,)), (math.inf, (1.0,)), (0.0, (1.0, math.nan)),
+                         (0.0, (math.inf,))):
+            with pytest.raises(DomainError):
+                ChgueParams(alpha, a)
 
     def test_w_alpha_validation(self):
         with pytest.raises(DomainError):
@@ -158,28 +218,45 @@ class TestTypeFunctions:
         val = chgue_type_two(p)(2.0)
         assert np.isfinite(val)
 
-    def test_type_one_coincident_rejected(self):
-        with pytest.raises(ConfluentError):
-            chgue_type_one(ChgueParams(0.0, (0.7, 0.7 + 1e-10)))
+    def test_type_one_coincident_sources(self):
+        # coincident sources against the confluent moment solve
+        x = np.linspace(0.1, 8.0, 9)
+        for alpha, b in ((0.0, 0.7), (0.5, 1.0)):
+            ws, comp = confluent_weights(ConfluentSpec(b=(b,), m=Composition((2,))), alpha)
+            ref = type_one(ws, comp)(x)
+            q = chgue_type_one(ChgueParams(alpha, (b, b)))(x)
+            assert np.max(np.abs(q - ref)) <= 1e-9 * np.max(np.abs(ref))
 
-    def test_series_path_matches_direct(self):
-        # just above the series-switch spread both evaluators must agree
-        alpha = 1.0
-        a_tight = (0.500, 0.505, 0.509)  # spread 9e-3 -> series path
-        a_loose = (0.500, 0.506, 0.512)  # spread 1.2e-2 -> direct path
-        from biortho.chgue import _dd_direct, _dd_series
+    def test_series_failure_raises(self, monkeypatch):
+        # overflow and the term cap both end in ConvergenceError, not a NaN
+        with pytest.raises(ConvergenceError), np.errstate(over="ignore"):
+            chgue_type_one(ChgueParams(0.0, (1e4, 0.0)))(1e4)
+        monkeypatch.setattr(chgue, "_SERIES_MAX_TERMS", 5)
+        with pytest.raises(ConvergenceError):
+            chgue_type_one(ChgueParams(0.0, (1.0,)))(10.0)
 
-        x = np.linspace(0.2, 6.0, 5)
-        for a in (a_tight, a_loose):
-            arr = np.asarray(a)
-            d = _dd_direct(alpha, arr, x)
-            s = _dd_series(alpha, arr, x)
-            assert np.allclose(d, s, rtol=1e-6, atol=1e-12)
+    def test_type_one_against_mpmath(self):
+        # clustered pairs (and a clustered triple) inside a wide spread, down
+        # to exact coincidence (delta = 0); normwise over y in [0, 30]
+        y = np.linspace(0.0, 30.0, 13)
+        families = (
+            (0.0, lambda d: (2.0, 0.5 + d, 0.5)),
+            (0.5, lambda d: (1.0 + 2 * d, 1.0 + d, 1.0)),
+            (1.0, lambda d: (0.3 + d, 0.3)),
+            (2.0, lambda d: (2.5, 1.9, 1.2, 0.5 + d, 0.5, 0.0)),
+        )
+        for alpha, sources in families:
+            for delta in (1e-3, 1e-5, 1e-7, 1e-10, 0.0):
+                a = sources(delta)
+                q = chgue_type_one(ChgueParams(alpha, a))(y)
+                ref = np.array([mp_type_one(alpha, a, v) for v in y])
+                assert np.max(np.abs(q - ref)) <= 1e-11 * np.max(np.abs(ref)), (alpha, a)
 
 
 class TestKernel:
     def test_residue_sum_vs_generic(self):
-        # the closed kernel against the eta-c-xi double sum, N = 1..4
+        # the staircase and residue-sum kernels against the eta-c-xi double
+        # sum, N = 1..4
         rng = np.random.default_rng(3)
         for n in (1, 2, 3, 4):
             a = tuple(sorted(rng.uniform(0.1, 2.0, size=n), reverse=True))
@@ -188,22 +265,49 @@ class TestKernel:
             for _ in range(3):
                 x, y = rng.uniform(0.2, 6.0, size=2)
                 ref = kernel_eval(kd, float(x), float(y))
-                val = chgue_kernel(p, float(x), float(y))
-                assert val == pytest.approx(ref, rel=1e-9, abs=1e-12)
+                for val in (chgue_kernel(p, float(x), float(y)),
+                            residue_kernel(p, float(x), float(y))):
+                    assert val == pytest.approx(ref, rel=1e-9, abs=1e-12)
+
+    def test_broadcasting(self):
+        p = ChgueParams(0.5, (1.3, 0.7, 0.2))
+        xs, ys = np.array([0.0, 0.5, 3.0]), np.array([0.2, 4.0])
+        grid = chgue_kernel(p, xs[:, None], ys[None, :])
+        assert grid.shape == (3, 2)
+        for i, x in enumerate(xs):
+            assert np.allclose(chgue_kernel(p, x, ys), grid[i], rtol=1e-14, atol=0)
+            for j, y in enumerate(ys):
+                assert isinstance(chgue_kernel(p, x, y), float)
+                assert chgue_kernel(p, x, y) == pytest.approx(grid[i, j], rel=1e-14)
+
+    def test_tail_against_mpmath(self):
+        # far outside the bulk window, where the residue sum loses digits
+        for alpha, a in ((1.0, (1.3, 0.7, 0.2)), (0.5, (2.0, 0.5 + 1e-3, 0.5))):
+            p = ChgueParams(alpha, a)
+            for x, y in [(25.0, 2.0), (20.0, 30.0), (12.0, 1.0), (10.0, 10.0)]:
+                ref = mp_kernel(alpha, a, x, y)
+                assert chgue_kernel(p, x, y) == pytest.approx(ref, rel=1e-12, abs=0)
+
+    def test_coincident_sources(self):
+        # coincident sources against the confluent generic kernel
+        for alpha, b in ((0.0, 0.7), (0.5, 1.0)):
+            kd = confluent_kernel(alpha, (b, b))
+            p = ChgueParams(alpha, (b, b))
+            for x, y in [(0.5, 1.7), (3.0, 0.9), (6.0, 4.0)]:
+                ref = kernel_eval(kd, x, y)
+                assert chgue_kernel(p, x, y) == pytest.approx(ref, rel=1e-9, abs=0)
 
     def test_quadrature_doubling(self):
-        # doubling the u-rule must not move the kernel (resolution check)
+        # doubling the u-rule must not move the residue-sum reference
         p = ChgueParams(0.5, (1.3, 0.7, 0.2))
         base = 2 * p.n + 40
         for x, y in [(0.5, 2.0), (3.0, 1.2), (6.0, 0.4)]:
-            v1 = chgue_kernel(p, x, y, n_quad=base)
-            v2 = chgue_kernel(p, x, y, n_quad=2 * base)
+            v1 = residue_kernel(p, x, y, n_quad=base)
+            v2 = residue_kernel(p, x, y, n_quad=2 * base)
             assert abs(v1 - v2) <= 1e-10 * max(1.0, abs(v1))
 
     def test_trace_equals_n(self):
-        # the residue-sum form loses all digits to cancellation at large
-        # arguments, so the trace integral runs through the generic path
-        # (which the residue sum is checked against on the compact window)
+        # trace integral through the generic path, over a 64-point rule
         p = ChgueParams(1.0, (1.5, 0.6))
         kd = build_kernel(ensemble_spec(p))
         rule = gauss_laguerre(64, 1.0)
@@ -213,8 +317,8 @@ class TestKernel:
         assert trace == pytest.approx(p.n, rel=1e-9)
 
     def test_large_argument_cancellation_window(self):
-        # inside ~[0, 12] the residue sum tracks the generic path; far
-        # outside it degrades (documented limitation, not silent)
+        # at the edge of the bulk window the staircase kernel tracks the
+        # generic path (the tail contract is test_tail_against_mpmath)
         p = ChgueParams(1.0, (1.5, 0.6))
         kd = build_kernel(ensemble_spec(p))
         v, ref = chgue_kernel(p, 10.0, 10.0), kernel_eval(kd, 10.0, 10.0)
@@ -230,10 +334,11 @@ class TestKernel:
 
     def test_domain(self):
         p = ChgueParams(0.0, (1.0, 0.5))
+        for x, y in ((-1.0, 1.0), (1.0, math.nan), (np.array([1.0, -0.5]), 2.0)):
+            with pytest.raises(DomainError):
+                chgue_kernel(p, x, y)
         with pytest.raises(DomainError):
-            chgue_kernel(p, -1.0, 1.0)
-        with pytest.raises(ConfluentError):
-            chgue_kernel(ChgueParams(0.0, (1.0, 1.0)), 1.0, 2.0)
+            chgue_type_one(p)(-0.5)
 
 
 class TestKernelStaircaseSum:
@@ -363,29 +468,12 @@ class TestLaguerreCdKernel:
 
 
 class TestRankDecomposition:
-    @staticmethod
-    def confluent_reference(alpha, a, n):
-        """Independent kernel for a = (a_1..a_r, 0..0) through the confluent
-        weight system and the generic monomial-eta machinery."""
-        b = tuple(dict.fromkeys(a))
-        mult = tuple(sum(1 for v in a if v == bv) for bv in b)
-        ws, comp = confluent_weights(
-            ConfluentSpec(b=b, m=Composition(mult)), alpha
-        )
-        xi = tuple(xi_family(ws, comp))
-        eta = tuple(
-            (lambda x, i=i: np.asarray(x, dtype=float) ** i) for i in range(n)
-        )
-        return build_kernel(
-            EnsembleSpec(n=n, interval=HalfLine(), eta=eta, xi=xi, quad=ws.quad)
-        )
-
     def test_identity(self):
         rng = np.random.default_rng(6)
         for n, r, a in ((3, 1, (0.9, 0.0, 0.0)), (4, 2, (1.2, 0.5, 0.0, 0.0))):
             for alpha in (0.0, 1.0):
                 p = ChgueParams(alpha, a)
-                kd = self.confluent_reference(alpha, a, n)
+                kd = confluent_kernel(alpha, a)
                 for _ in range(3):
                     x, y = rng.uniform(0.3, 5.0, size=2)
                     full, unpert, corr = rank_decomposition(p, r, float(x), float(y))

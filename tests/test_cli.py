@@ -191,6 +191,11 @@ class TestErrorsAndConfig:
         assert code == EXIT_USAGE
         assert "error" in err
 
+    def test_non_finite_source(self, capsys):
+        code, _, err = run(capsys, "kernel", "--ensemble", "chgue", "--a", "1,nan")
+        assert code == EXIT_USAGE
+        assert "error" in err
+
     def test_bad_grid(self, capsys):
         code, _, _ = run(
             capsys, "kernel", "--ensemble", "chgue", "--a", "1,0.4",
