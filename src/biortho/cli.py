@@ -75,17 +75,26 @@ _DEFAULT_TOLS = {
 }
 
 
+def _number(text: str, kind: type = float):
+    """``kind(text)``, with a malformed value reported as a usage error."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise DomainError(f"expected {what}, got {text!r}") from None
+
+
 def _parse_floats(text: str) -> list[float]:
     if not text.strip():
         raise DomainError("empty list")
-    return [float(v) for v in text.split(",")]
+    return [_number(v) for v in text.split(",")]
 
 
 def _parse_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise DomainError(f"grid must be min:max:count, got {text!r}")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    lo, hi, count = _number(parts[0]), _number(parts[1]), _number(parts[2], int)
     if count < 1:
         raise DomainError(f"grid count must be >= 1, got {count}")
     if count == 1:
@@ -103,7 +112,7 @@ def _parse_overrides(items: Sequence[str] | None) -> dict:
             raise DomainError(
                 f"unknown tolerance key {key!r}; known: {sorted(tols)}"
             )
-        tols[key] = float(val)
+        tols[key] = _number(val)
     return tols
 
 
@@ -181,7 +190,7 @@ def _confluent_system(args):
     if not args.b or not args.mult:
         raise DomainError("--b and --mult are required for the confluent ensemble")
     b = tuple(_parse_floats(args.b))
-    mult = tuple(int(v) for v in args.mult.split(","))
+    mult = tuple(_number(v, int) for v in args.mult.split(","))
     spec = ConfluentSpec(b=b, m=Composition(mult))
     return confluent_weights(spec, args.alpha)
 
@@ -335,7 +344,7 @@ def _cmd_sample(args) -> int:
         if not args.a:
             raise DomainError("--a is required for sampling the chgue ensemble")
         a = tuple(_parse_floats(args.a))
-        model = SourceModel("chiral", len(a), a, int(args.alpha))
+        model = SourceModel("chiral", len(a), a, args.alpha)
     elif args.ensemble == "hermite":
         n = args.n or 2
         model = SourceModel("hermitian", n, (0.0,) * n)
@@ -456,29 +465,43 @@ def _cmd_verify(args) -> int:
     return _report(checks)
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    # two-phase handling so a JSON config can predefine defaults (flags win)
-    args_in = list(sys.argv[1:] if argv is None else argv)
-    if "--config" in args_in:
-        idx = args_in.index("--config")
-        cfg_path = args_in[idx + 1]
-        del args_in[idx : idx + 2]
+def _with_config(args_in: list[str]) -> list[str]:
+    """Appends the flags of a ``--config`` JSON file to ``args_in``, minus
+    those given explicitly (flags win over the config file)."""
+    if "--config" not in args_in:
+        return args_in
+    idx = args_in.index("--config")
+    if idx + 1 == len(args_in):
+        raise DomainError("--config expects a JSON file path")
+    cfg_path = args_in[idx + 1]
+    args_in = args_in[:idx] + args_in[idx + 2 :]
+    try:
         with open(cfg_path) as fh:
             cfg = json.load(fh)
-        extra: list[str] = []
-        for key, value in cfg.items():
-            flag = "--" + key.replace("_", "-")
-            if flag in args_in:
-                continue  # explicit flags win over the config file
-            if isinstance(value, bool):
-                if value:
-                    extra.append(flag)
-            else:
-                extra.extend([flag, str(value)])
-        args_in = args_in + extra
-    args = parser.parse_args(args_in)
+    except OSError as exc:
+        raise DomainError(f"cannot read config file {cfg_path!r}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"config file {cfg_path!r} is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise DomainError(f"config file {cfg_path!r} must hold a JSON object")
+    extra: list[str] = []
+    for key, value in cfg.items():
+        flag = "--" + key.replace("_", "-")
+        if flag in args_in:
+            continue
+        if isinstance(value, bool):
+            if value:
+                extra.append(flag)
+        else:
+            extra.extend([flag, str(value)])
+    return args_in + extra
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    parser = _build_parser()
     try:
+        # two-phase handling so a JSON config can predefine defaults
+        args = parser.parse_args(_with_config(list(sys.argv[1:] if argv is None else argv)))
         if args.command == "kernel":
             return _cmd_kernel(args)
         if args.command == "poly":

@@ -24,14 +24,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.typing import NDArray
+from numpy.typing import ArrayLike, NDArray
 
 from .errors import CapacityError, DomainError, NumericError, SingularMatrixError
 from .numerics import (
     QuadratureRule,
     gauss_laguerre,
     gauss_legendre,
-    integrate_nd,
     max_gram_size,
     solve,
 )
@@ -51,6 +50,8 @@ __all__ = [
     "op_from_weight",
     "cd_check",
 ]
+
+_MARGINAL_MAX_ENTRIES = 2**22
 
 
 @dataclass(frozen=True)
@@ -211,28 +212,36 @@ def correlation(k: KernelData, points: Sequence[float]) -> float:
     return float(np.linalg.det(m))
 
 
-def pdf_eval(spec: EnsembleSpec, x: Sequence[float]) -> float:
-    r"""Joint density $\det[\eta_i(x_j)]\det[\xi_i(x_j)] / Z_N$ at one point
-    of $I^N$, evaluated in log space."""
+def pdf_eval(spec: EnsembleSpec, x: ArrayLike) -> float | NDArray[np.float64]:
+    r"""Joint density $\det[\eta_i(x_j)]\det[\xi_i(x_j)] / Z_N$, evaluated in
+    log space.
+
+    ``x`` holds points of $I^N$ along its last axis, shape ``(..., N)``; the
+    result has shape ``(...)``, and a single point gives a float.  Each
+    $\eta_i$, $\xi_i$ is evaluated once on all coordinates and the
+    determinants are one batched ``slogdet``."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.size != spec.n:
-        raise DomainError(f"pdf_eval expects {spec.n} coordinates, got {x.size}")
+    if x.shape[-1] != spec.n:
+        raise DomainError(f"pdf_eval expects {spec.n} coordinates, got shape {x.shape}")
     kd = build_kernel(spec)
-    e = np.array([f(x) for f in spec.eta])
-    z = np.array([f(x) for f in spec.xi])
-    s1, l1 = np.linalg.slogdet(e)
-    s2, l2 = np.linalg.slogdet(z)
-    if s1 == 0.0 or s2 == 0.0:
-        return 0.0
+    flat = x.ravel()
+    s1, l1 = np.linalg.slogdet(np.stack([f(flat).reshape(x.shape) for f in spec.eta], axis=-2))
+    s2, l2 = np.linalg.slogdet(np.stack([f(flat).reshape(x.shape) for f in spec.xi], axis=-2))
     sign_z, log_z = kd.z_n
-    return float(s1 * s2 * sign_z * math.exp(l1 + l2 - log_z))
+    # a vanishing determinant has log -inf, so its point evaluates to 0
+    out = s1 * s2 * sign_z * np.exp(l1 + l2 - log_z)
+    return float(out) if out.ndim == 0 else out
 
 
 def correlation_by_marginal(spec: EnsembleSpec, points: Sequence[float]) -> float:
     r"""The defining marginal integral
     $\rho_{n,N} = \frac{N!}{(N-n)!} \int_{I^{N-n}} p_N\,dx_{n+1}\cdots dx_N$,
-    by tensor quadrature.  Exponential cost in $N - n$; exposed as a test
-    utility for cross-checking :func:`correlation`, not a production path.
+    by tensor quadrature on ``spec.quad``: one batched :func:`pdf_eval` over
+    the grid of the $N - n$ free coordinates, dotted with the product
+    weights.  Cost and memory grow like $M^{N-n}$ for an $M$-point rule, so
+    a grid whose determinant stacks would exceed ``2**22`` entries (grid
+    points times $N^2$) raises :class:`CapacityError`.  A test utility for
+    cross-checking :func:`correlation`, not a production path.
     """
     points = np.asarray(points, dtype=float)
     n = points.size
@@ -240,14 +249,21 @@ def correlation_by_marginal(spec: EnsembleSpec, points: Sequence[float]) -> floa
     if n > big_n:
         raise DomainError(f"marginal order {n} exceeds ensemble size {big_n}")
     comb = math.factorial(big_n) / math.factorial(big_n - n)
-    if n == big_n:
-        return comb * pdf_eval(spec, points)
+    free = big_n - n
     rule = _dx_rule(spec.quad)
-
-    def integrand(*rest):
-        return pdf_eval(spec, np.concatenate([points, np.asarray(rest)]))
-
-    return comb * integrate_nd(integrand, [rule] * (big_n - n))
+    if rule.n**free * big_n**2 > _MARGINAL_MAX_ENTRIES:
+        raise CapacityError(
+            f"marginal grid of {rule.n}^{free} points at N = {big_n} exceeds "
+            f"{_MARGINAL_MAX_ENTRIES} determinant entries; use a smaller rule "
+            f"or a higher order n"
+        )
+    shape = (rule.n,) * free
+    grid = np.meshgrid(*([rule.nodes] * free), indexing="ij")
+    x = np.stack([*(np.broadcast_to(p, shape) for p in points), *grid], axis=-1)
+    values = pdf_eval(spec, x)
+    for _ in range(free):
+        values = values @ rule.weights
+    return comb * float(values)
 
 
 # ---------------------------------------------------------------------------

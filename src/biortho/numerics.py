@@ -21,6 +21,7 @@ Conventions
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -51,7 +52,6 @@ __all__ = [
     "vandermonde",
     "partial_fraction_weights",
     "divided_difference",
-    "divided_difference_from_taylor",
     "det",
     "solve",
     "QuadratureRule",
@@ -276,31 +276,6 @@ def divided_difference(values: Sequence[float], nodes: Sequence[float]) -> float
     return values[0]
 
 
-def divided_difference_from_taylor(coeffs: Sequence[float], shifts: Sequence[float]) -> float:
-    r"""Divided difference over clustered nodes from a Taylor expansion.
-
-    Given $f(v) = \sum_k c_k (v - m)^k$ and nodes $x_i = m + d_i$, the
-    divided difference over the $n$ nodes is
-    $\sum_{k \ge n-1} c_k\, h_{k-n+1}(d_1,\dots,d_n)$ with $h_m$ the complete
-    homogeneous symmetric polynomials.  This path is immune to the
-    catastrophic cancellation of the triangular recurrence when the nodes
-    nearly coincide; accuracy is set by how many Taylor coefficients are
-    supplied.
-    """
-    coeffs = np.asarray(coeffs)
-    shifts = np.asarray(shifts, dtype=float)
-    n = shifts.size
-    if coeffs.size < n:
-        raise DomainError("divided_difference_from_taylor: need at least n Taylor coefficients")
-    m_max = coeffs.size - n
-    h = np.zeros(m_max + 1, dtype=coeffs.dtype if np.iscomplexobj(coeffs) else float)
-    h[0] = 1.0
-    for d in shifts:
-        for m in range(1, m_max + 1):
-            h[m] += d * h[m - 1]
-    return np.dot(coeffs[n - 1 :], h)
-
-
 # ---------------------------------------------------------------------------
 # small dense linear algebra
 # ---------------------------------------------------------------------------
@@ -454,17 +429,25 @@ def gauss_laguerre(n: int, alpha: float) -> QuadratureRule:
     return QuadratureRule(nodes, weights, "gauss-laguerre", (alpha,))
 
 
+@functools.lru_cache(maxsize=64)
+def _legendre_unit(n: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Read-only nodes and weights of the ``n``-point rule on [-1, 1]; the
+    rule depends on ``n`` alone, so each size is solved once per process."""
+    kk = np.arange(1, n, dtype=float)
+    offdiag = kk / np.sqrt(4 * kk * kk - 1)
+    nodes, weights = _golub_welsch(np.zeros(n), offdiag, 2.0)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
     r"""``n``-point Gauss–Legendre rule for $\int_a^b f(x)\,dx$."""
     if n < 1:
         raise DomainError(f"gauss_legendre requires n >= 1, got {n}")
     if not b > a:
         raise DomainError(f"gauss_legendre requires b > a, got ({a}, {b})")
-    k = np.arange(n, dtype=float)
-    diag = np.zeros(n)
-    kk = k[1:]
-    offdiag = kk / np.sqrt(4 * kk * kk - 1)
-    nodes, weights = _golub_welsch(diag, offdiag, 2.0)
+    nodes, weights = _legendre_unit(n)
     half = (b - a) / 2.0
     return QuadratureRule(a + half * (nodes + 1.0), half * weights, "gauss-legendre", (a, b))
 

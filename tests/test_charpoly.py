@@ -27,6 +27,7 @@ from biortho import (
 )
 from biortho.charpoly import DEFAULT_EPS_SCHEDULE, _pole_resolving_nodes
 from biortho.errors import CapacityError
+from biortho.numerics import max_gram_size
 
 
 class TestSourceModel:
@@ -43,6 +44,14 @@ class TestSourceModel:
             SourceModel("chiral", 2, (-0.1, 0.2))
         with pytest.raises(DomainError):
             SourceModel("chiral", 2, (0.1, 0.2), alpha=0.5)
+
+    @pytest.mark.parametrize("kind", ["hermitian", "chiral"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, kind, bad):
+        with pytest.raises(DomainError):
+            SourceModel(kind, 2, (0.4, bad))
+        with pytest.raises(DomainError):
+            SourceModel("chiral", 2, (0.4, 0.5), alpha=bad)
 
 
 class TestSampling:
@@ -175,14 +184,15 @@ class TestRatioOracle:
         assert oracle.average(lambda t: np.ones_like(t)) == pytest.approx(1.0, rel=1e-12)
 
     def test_charpoly_average_matches_type_two(self):
-        # <prod(x - lambda_i)> through the tensor quadrature
-        m = SourceModel("chiral", 2, (0.3, 1.1), alpha=1)
-        p = chgue_type_two(ChgueParams(1.0, (0.3, 1.1)))
-        oracle = RatioOracle(m, y=1.5)
-        for x in (0.5, 2.0, 4.0):
-            assert oracle.average(lambda t, x=x: x - t) == pytest.approx(
-                p(x), rel=1e-8
-            )
+        # <prod(x - lambda_i)> through the Andreief determinant ratio
+        for a in ((0.3, 1.1), (0.25, 0.9, 1.6), (0.1, 0.4, 0.8, 1.2, 1.6, 2.1)):
+            m = SourceModel("chiral", len(a), a, alpha=1)
+            p = chgue_type_two(ChgueParams(1.0, a))
+            oracle = RatioOracle(m, y=1.5)
+            for x in (0.5, 2.0, 4.0):
+                assert oracle.average(lambda t, x=x: x - t) == pytest.approx(
+                    p(x), rel=1e-8
+                )
 
     def test_hermitian_coincident_basis(self):
         m = SourceModel("hermitian", 2, (0.4, 0.4))
@@ -195,8 +205,14 @@ class TestRatioOracle:
             RatioOracle(m, y=0.5)
 
     def test_capacity(self):
-        m = SourceModel("chiral", 4, (0.1, 0.2, 0.3, 0.4), alpha=0)
+        n = max_gram_size() + 1
+        m = SourceModel("chiral", n, tuple(0.1 * (i + 1) for i in range(n)), alpha=0)
         with pytest.raises(CapacityError):
+            RatioOracle(m, y=1.0)
+
+    def test_chiral_coincident_sources_rejected(self):
+        m = SourceModel("chiral", 2, (0.5, 0.5), alpha=0)
+        with pytest.raises(DomainError):
             RatioOracle(m, y=1.0)
 
     def test_pole_outside_window(self):
@@ -212,6 +228,17 @@ class TestKernelFromRatio:
         for x, y in [(0.6, 1.9), (2.5, 0.8)]:
             val = kernel_from_ratio(m, x, y, mode="quadrature")
             assert val == pytest.approx(chgue_kernel(p, x, y), abs=5e-7)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_quadrature_mode_chiral_large_n(self, n):
+        # ratio identity at N = 4..8, at criterion 2's 1e-3 absolute
+        a = tuple(np.round(np.linspace(0.05, 2.2, n), 3))
+        for alpha in (0, 2):
+            m = SourceModel("chiral", n, a, alpha=alpha)
+            p = ChgueParams(float(alpha), a)
+            for x, y in [(0.6, 1.8), (3.2, 0.9), (5.0, 2.5)]:
+                val = kernel_from_ratio(m, x, y, mode="quadrature")
+                assert val == pytest.approx(chgue_kernel(p, x, y), abs=1e-3)
 
     def test_quadrature_mode_hermitian(self):
         m = SourceModel("hermitian", 2, (0.0, 0.0))

@@ -196,6 +196,32 @@ class TestErrorsAndConfig:
         assert code == EXIT_USAGE
         assert "error" in err
 
+    def test_sample_non_integer_alpha(self, capsys):
+        code, out, err = run(
+            capsys, "sample", "--ensemble", "chgue", "--alpha", "0.5",
+            "--a", "0.5,1.5",
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    def test_malformed_source(self, capsys):
+        code, _, err = run(capsys, "kernel", "--ensemble", "chgue", "--a", "1.3,x")
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "--config", str(tmp_path / "absent.json"), "kernel", "--a", "1,0.4",
+        )
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    def test_trailing_config_flag(self, capsys):
+        code, _, err = run(capsys, "kernel", "--a", "1,0.4", "--config")
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
     def test_bad_grid(self, capsys):
         code, _, _ = run(
             capsys, "kernel", "--ensemble", "chgue", "--a", "1,0.4",

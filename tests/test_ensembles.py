@@ -153,6 +153,23 @@ class TestPdfAndCorrelation:
             pdf_eval(spec, [2.0, 0.5]), rel=1e-12
         )
 
+    def test_pdf_batch_matches_points(self):
+        spec = laguerre_spec(3, alpha=0.5)
+        pts = np.random.default_rng(3).uniform(0.1, 6.0, size=(7, 3))
+        pts[2, 1] = pts[2, 0]  # coincident coordinates: zero density
+        batch = pdf_eval(spec, pts)
+        assert batch.shape == (7,)
+        single = [pdf_eval(spec, p) for p in pts]
+        assert all(isinstance(v, float) for v in single)
+        assert batch[2] == 0.0 and single[2] == 0.0
+        np.testing.assert_allclose(batch, single, rtol=1e-14, atol=0.0)
+        grid = pdf_eval(spec, pts.reshape(7, 1, 3))
+        assert grid.shape == (7, 1)
+
+    def test_marginal_grid_cap(self):
+        with pytest.raises(CapacityError):
+            correlation_by_marginal(laguerre_spec(6), [1.0])
+
     def test_correlation_determinant_vs_marginal(self):
         # det[K(x_i,x_j)] against the defining marginal integral
         spec = laguerre_spec(3)

@@ -29,7 +29,6 @@ from biortho import (
 )
 from biortho.numerics import (
     divided_difference,
-    divided_difference_from_taylor,
     laguerre_coeffs,
 )
 
@@ -227,31 +226,6 @@ class TestDividedDifference:
         )  # triangular recurrence by hand
         assert divided_difference(vals, nodes) == pytest.approx(direct, rel=1e-12)
 
-    def test_taylor_path_matches_direct(self):
-        # well-separated nodes: series path and direct recurrence agree
-        nodes = np.array([0.9, 1.0, 1.15])
-        m = float(np.mean(nodes))
-        k = np.arange(25)
-        coeffs = np.exp(m) / np.array([math.factorial(int(j)) for j in k])
-        dd_series = divided_difference_from_taylor(coeffs, nodes - m)
-        dd_direct = divided_difference(np.exp(nodes), nodes)
-        assert dd_series == pytest.approx(dd_direct, rel=1e-11)
-
-    def test_taylor_path_clustered(self):
-        # nearly coincident nodes: direct recurrence loses everything, the
-        # Taylor path must still give f''(m)/2 for e^x
-        nodes = np.array([1.0, 1.0 + 1e-9, 1.0 + 2e-9])
-        m = float(np.mean(nodes))
-        k = np.arange(25)
-        coeffs = np.exp(m) / np.array([math.factorial(int(j)) for j in k])
-        dd = divided_difference_from_taylor(coeffs, nodes - m)
-        # true dd differs from f''(m)/2 by O(node spread)
-        assert dd == pytest.approx(math.exp(1.0) / 2.0, rel=1e-8)
-
-    def test_needs_enough_coefficients(self):
-        with pytest.raises(DomainError):
-            divided_difference_from_taylor([1.0], [0.0, 0.1])
-
 
 class TestLinearAlgebra:
     def test_det_matches_numpy(self):
@@ -337,6 +311,14 @@ class TestGaussLegendre:
         r = gauss_legendre(10, 2.0, 5.0)
         assert r.nodes[0] > 2.0 and r.nodes[-1] < 5.0
         assert r.weights.sum() == pytest.approx(3.0, rel=1e-14)
+
+    def test_repeated_calls_identical(self):
+        # the cached [-1, 1] rule maps to the same arrays on every call
+        for n in (1, 8, 24):
+            r1, r2 = gauss_legendre(n, -0.5, 3.0), gauss_legendre(n, -0.5, 3.0)
+            assert np.array_equal(r1.nodes, r2.nodes)
+            assert np.array_equal(r1.weights, r2.weights)
+            assert not r1.nodes.flags.writeable and not r1.weights.flags.writeable
 
     def test_single_point(self):
         r = gauss_legendre(1, 0.0, 2.0)
