@@ -412,14 +412,15 @@ def _cmd_verify(args) -> int:
             res2 = max(res2, abs(float(np.dot(rule.dx_weights, wv * p(rule.nodes)))))
         checks.append(("type II first moments vanish", res2, tols["ortho"]))
         a_sorted = tuple(sorted(params.a, reverse=True))
+        # P_i on the first i sources (P_0 = 1) and Q_{j+1} on the first j + 1
+        pv = [chgue_type_two(ChgueParams(params.alpha, a_sorted[:i]))(rule.nodes)
+              if i else np.ones_like(rule.nodes) for i in range(params.n)]
+        qv = [chgue_type_one(ChgueParams(params.alpha, a_sorted[: j + 1]))(rule.nodes)
+              for j in range(params.n)]
         dev = 0.0
         for i in range(params.n):
             for j in range(params.n):
-                pi = (chgue_type_two(ChgueParams(params.alpha, a_sorted[:i]))
-                      if i else None)
-                qj = chgue_type_one(ChgueParams(params.alpha, a_sorted[: j + 1]))
-                pv = pi(rule.nodes) if pi else np.ones_like(rule.nodes)
-                val = float(np.dot(rule.dx_weights, pv * qj(rule.nodes)))
+                val = float(np.dot(rule.dx_weights, pv[i] * qv[j]))
                 dev = max(dev, abs(val - (1.0 if i == j else 0.0)))
         checks.append(("staircase biorthogonality", dev, tols["biortho"]))
     elif args.suite == "corollary":
