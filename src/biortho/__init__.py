@@ -10,9 +10,11 @@ from .charpoly import (
     SourceModel,
     avg_charpoly,
     avg_inv_charpoly,
+    charpoly_estimate,
     kernel_from_ratio,
     residue_extract,
     rho1_check,
+    rho1_report,
     sample_matrix,
     sample_spectra,
 )

@@ -22,10 +22,17 @@ from biortho import (
     op_from_weight,
     residue_extract,
     rho1_check,
+    rho1_report,
     sample_matrix,
     sample_spectra,
 )
-from biortho.charpoly import DEFAULT_EPS_SCHEDULE, _pole_resolving_nodes
+from biortho import charpoly
+from biortho.charpoly import (
+    DEFAULT_EPS_SCHEDULE,
+    _assemble,
+    _eigvalsh,
+    _pole_resolving_nodes,
+)
 from biortho.errors import CapacityError
 from biortho.numerics import max_gram_size
 
@@ -54,13 +61,21 @@ class TestSourceModel:
             SourceModel("chiral", 2, (0.4, 0.5), alpha=bad)
 
 
+def _models(n):
+    """One model of each kind at size n (every closed-form branch and the
+    LAPACK branch of the eigensolve, at n = 1..4)."""
+    a = (0.3, 1.1, 0.6, 2.0)[:n]
+    return SourceModel("hermitian", n, a), SourceModel("chiral", n, a, alpha=1)
+
+
 class TestSampling:
     def test_index_placement(self):
         # sample i from the stream equals row i of a bulk draw
-        m = SourceModel("chiral", 2, (0.3, 1.1), alpha=1)
-        bulk = sample_spectra(m, seed=9, count=10)
-        for i in (0, 3, 9):
-            assert np.array_equal(sample_matrix(m, seed=9, index=i), bulk[i])
+        for n in (1, 2, 3, 4):
+            for m in _models(n):
+                bulk = sample_spectra(m, seed=9, count=10)
+                for i in (0, 3, 9):
+                    assert np.array_equal(sample_matrix(m, seed=9, index=i), bulk[i])
 
     def test_worker_count_bitwise_invariance(self):
         m = SourceModel("chiral", 2, (0.3, 1.1), alpha=1)
@@ -71,10 +86,51 @@ class TestSampling:
             assert np.array_equal(base, other)
 
     def test_start_offset(self):
-        m = SourceModel("hermitian", 2, (0.0, 0.0))
-        bulk = sample_spectra(m, seed=1, count=8)
-        tail = sample_spectra(m, seed=1, count=3, start=5)
-        assert np.array_equal(bulk[5:], tail)
+        for n in (1, 2, 3, 4):
+            for m in _models(n):
+                bulk = sample_spectra(m, seed=1, count=8)
+                tail = sample_spectra(m, seed=1, count=3, start=5)
+                assert np.array_equal(bulk[5:], tail)
+
+    def test_closed_form_matches_lapack(self):
+        # N <= 3 spectra come from closed forms; LAPACK on the same
+        # assembled matrices is the reference, 1e-12 normwise per draw
+        def normwise(got, want):
+            scale = np.maximum(np.max(np.abs(want), axis=-1), np.finfo(float).tiny)
+            return np.max(np.abs(got - want), axis=-1) / scale
+
+        for n in (1, 2, 3):
+            zero, repeated = (0.0,) * n, (0.3, 1.1, 1.1)[:n]
+            for m in (
+                SourceModel("hermitian", n, zero),
+                SourceModel("hermitian", n, repeated),
+                SourceModel("chiral", n, zero, alpha=0),
+                SourceModel("chiral", n, repeated, alpha=2),
+            ):
+                h = _assemble(m, seed=40 + n, start=0, count=100_000)
+                got = _eigvalsh(h)
+                assert np.all(np.diff(got, axis=1) >= 0)
+                assert np.max(normwise(got, np.linalg.eigvalsh(h))) <= 1e-12
+                # squares and cubes of such entries leave the double range
+                for s in (1e-300, 1e300):
+                    hs = h[:1000] * s
+                    assert np.max(normwise(_eigvalsh(hs), np.linalg.eigvalsh(hs))) <= 1e-12
+            # exact multiples of the identity, the zero matrix among them
+            for c in (0.0, 1.0, -2.5, 0.1, 1e-200, 3e100):
+                got = _eigvalsh(np.eye(n, dtype=complex)[None] * c)
+                assert np.all(np.isfinite(got)) and np.all(np.diff(got, axis=1) >= 0)
+                assert np.max(np.abs(got - c)) <= 1e-14 * abs(c)
+        # at an exactly repeated eigenvalue the trigonometric n = 3 formula
+        # is only sqrt(eps)-accurate
+        rng = np.random.default_rng(44)
+        z = rng.standard_normal((2000, 3, 3)) + 1j * rng.standard_normal((2000, 3, 3))
+        u, _ = np.linalg.qr(z)
+        for spectrum in ((1.0, 1.0, 2.0), (0.5, 3.0, 3.0)):
+            h = (u * np.asarray(spectrum)) @ u.conj().transpose(0, 2, 1)
+            h = 0.5 * (h + h.conj().transpose(0, 2, 1))
+            got = _eigvalsh(h)
+            assert np.all(np.diff(got, axis=1) >= 0)
+            assert np.max(normwise(got, np.asarray(spectrum))) <= 5e-8
 
     def test_spectra_sorted(self):
         m = SourceModel("hermitian", 3, (0.0, 0.0, 0.0))
@@ -287,8 +343,12 @@ class TestRho1Check:
         report = rho1_check(m, bins=30, samples=100000, seed=8)
         assert report.fraction_within >= 0.95
 
-    def test_hermitian_with_source_rejected(self):
+    def test_hermitian_with_source_rejected(self, monkeypatch):
         m = SourceModel("hermitian", 2, (0.5, 1.0))
+        with pytest.raises(DomainError):
+            rho1_report(m, sample_spectra(m, seed=0, count=100), bins=10)
+        # rejected before any spectra are drawn
+        monkeypatch.setattr(charpoly, "sample_spectra", None)
         with pytest.raises(DomainError):
             rho1_check(m, bins=10, samples=100, seed=0)
 

@@ -4,7 +4,15 @@ import json
 import numpy as np
 import pytest
 
-from biortho import ChgueParams, chgue_kernel, chgue_type_two
+from biortho import (
+    ChgueParams,
+    SourceModel,
+    avg_charpoly,
+    chgue_kernel,
+    chgue_type_two,
+    rho1_check,
+    sample_spectra,
+)
 from biortho.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
 
@@ -165,6 +173,36 @@ class TestVerifySuites:
             "--samples", "60000",
         )
         assert code == EXIT_OK
+
+    def test_mc_suite_draws_once(self, capsys, monkeypatch):
+        # one draw feeds both <det> estimates and the histogram; the printed
+        # residuals equal those of three separate draws at the same seed
+        import biortho.cli as cli
+
+        draws = []
+
+        def counting(*args, **kwargs):
+            draws.append(args)
+            return sample_spectra(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "sample_spectra", counting)
+        code, out, _ = run(
+            capsys,
+            "verify", "--suite", "mc", "--alpha", "1", "--a", "0.3,1.1",
+            "--samples", "20000", "--seed", "4",
+        )
+        assert code == EXIT_OK
+        assert len(draws) == 1
+        m = SourceModel("chiral", 2, (0.3, 1.1), alpha=1)
+        p = chgue_type_two(ChgueParams(1.0, (0.3, 1.1)))
+        worst = 0.0
+        for x in (0.8, 2.5):
+            est = avg_charpoly(m, x, 20000, 4)
+            worst = max(worst, abs(est.value - p(x)) / est.std_error)
+        outside = 1.0 - rho1_check(m, bins=40, samples=20000, seed=4).fraction_within
+        lines = out.splitlines()
+        assert lines[0].endswith(f"residual={worst:.3e} tol=3.000e+00")
+        assert lines[1].endswith(f"residual={outside:.3e} tol=5.000e-02")
 
     def test_tol_override_forces_failure(self, capsys):
         code, out, _ = run(
