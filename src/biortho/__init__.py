@@ -26,6 +26,7 @@ from .chgue import (
     chgue_pdf,
     chgue_type_one,
     chgue_type_two,
+    confluent_spec,
     confluent_weights,
     ensemble_spec,
     kernel_sum_check,

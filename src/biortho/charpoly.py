@@ -66,6 +66,8 @@ __all__ = [
 
 DEFAULT_EPS_SCHEDULE = (1e-2, 5e-3, 2.5e-3)
 _CHUNK = 65536
+# largest N at which the quadrature oracle is tested against chgue_kernel
+_ORACLE_MAX_N = 8
 
 
 @dataclass(frozen=True)
@@ -404,20 +406,21 @@ class RatioOracle:
 
     so the oracle still integrates the joint density and never touches the
     kernel formulas.  Both determinants are taken as ``slogdet`` pairs, so
-    neither has to be representable.  Supports
-    $1 \le N \le$ :func:`~biortho.numerics.max_gram_size`.  On the chiral
-    model with sources spread over $[0.05, 2.2]$ the ratio-identity kernel
-    stays within $4\cdot 10^{-7}$ of :func:`~biortho.chgue.chgue_kernel` up
-    to $N = 8$; past that it loses digits ($5\cdot 10^{-4}$ absolute at
-    $N = 10$, $0.4$ at $N = 12$ over $[0.05, 3]$).
+    neither has to be representable.  Supports $1 \le N \le 8$ (and no
+    more than :func:`~biortho.numerics.max_gram_size`), and raises
+    :class:`CapacityError` above that.  On the chiral model with
+    sources spread over $[0.05, 2.2]$ the ratio-identity kernel stays within
+    $4\cdot 10^{-7}$ of :func:`~biortho.chgue.chgue_kernel` up to $N = 8$;
+    past that it loses digits without warning ($5\cdot 10^{-4}$ absolute at
+    $N = 10$, $0.4$ at $N = 12$ over $[0.05, 3]$), so larger N is refused.
     """
 
     def __init__(self, m: SourceModel, y: float, eps_min: float = min(DEFAULT_EPS_SCHEDULE)):
-        cap = max_gram_size()
+        cap = min(_ORACLE_MAX_N, max_gram_size())
         if m.n > cap:
             raise CapacityError(
                 f"quadrature oracle supports N <= {cap}, got N = {m.n} "
-                f"(raise BIORTHO_MAX_N to override, accuracy contracts void)"
+                f"(past N = {_ORACLE_MAX_N} it loses digits without warning)"
             )
         self.model = m
         n = m.n
@@ -479,7 +482,7 @@ def kernel_from_ratio(
     :func:`residue_extract` over the $\varepsilon$-schedule.
 
     ``mode="quadrature"`` integrates the ratio against the exact joint
-    density through :class:`RatioOracle` (any N up to the global cap);
+    density through :class:`RatioOracle` (N <= 8);
     ``mode="montecarlo"`` averages over sampled spectra
     (all $\varepsilon$ reuse one set of draws)."""
     if abs(x - y) < 1e-6:

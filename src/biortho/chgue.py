@@ -43,7 +43,7 @@ from scipy.special import poch
 
 from .ensembles import EnsembleSpec, HalfLine
 from .errors import CapacityError, ConfluentError, ConvergenceError, DomainError
-from .multipoly import Composition, TypeIIPolynomial, WeightSystem
+from .multipoly import Composition, TypeIIPolynomial, WeightSystem, xi_family
 from .numerics import (
     elem_sym,
     gauss_laguerre,
@@ -61,6 +61,7 @@ __all__ = [
     "w_alpha",
     "scaled_laguerre_eta",
     "ensemble_spec",
+    "confluent_spec",
     "chgue_pdf",
     "chgue_gram",
     "chgue_kernel",
@@ -143,6 +144,17 @@ def ensemble_spec(p: ChgueParams, n_quad: int = 64) -> EnsembleSpec:
     eta = tuple(scaled_laguerre_eta(p.alpha, k) for k in range(1, p.n + 1))
     xi = tuple(w_alpha(p.alpha, ai) for ai in p.a)
     return EnsembleSpec(n=p.n, interval=HalfLine(), eta=eta, xi=xi, quad=quad)
+
+
+def confluent_spec(c: ConfluentSpec, alpha: float) -> EnsembleSpec:
+    r"""The coalesced-source ensemble as a generic biorthogonal spec:
+    monomial $\eta_i = x^{i-1}$, and the $\xi$ family
+    $x^j w^{(i)}(x)$ of the :func:`confluent_weights` system."""
+    ws, comp = confluent_weights(c, alpha)
+    n = comp.weight
+    eta = tuple((lambda x, i=i: np.asarray(x, dtype=float) ** i) for i in range(n))
+    xi = tuple(xi_family(ws, comp))
+    return EnsembleSpec(n=n, interval=HalfLine(), eta=eta, xi=xi, quad=ws.quad)
 
 
 def chgue_gram(p: ChgueParams) -> NDArray[np.float64]:

@@ -13,7 +13,7 @@ preloaded from a JSON config file (``--config``); explicit flags win.
 from __future__ import annotations
 
 import argparse
-import itertools
+import functools
 import json
 import sys
 from typing import Callable, Sequence
@@ -29,6 +29,7 @@ from .chgue import (
     chgue_kernel,
     chgue_type_one,
     chgue_type_two,
+    confluent_spec,
     confluent_weights,
     ensemble_spec,
     kernel_sum_check,
@@ -37,7 +38,6 @@ from .chgue import (
 )
 from .charpoly import SourceModel, charpoly_estimate, rho1_report, sample_spectra
 from .ensembles import (
-    EnsembleSpec,
     HalfLine,
     Segment,
     build_kernel,
@@ -46,15 +46,7 @@ from .ensembles import (
     op_from_weight,
 )
 from .errors import DomainError, NumericError
-from .multipoly import (
-    Composition,
-    biortho_sequence,
-    check_ortho_one,
-    check_ortho_two,
-    type_one,
-    type_two,
-    xi_family,
-)
+from .multipoly import Composition, check_ortho_one, type_one, type_two
 from .numerics import gauss_laguerre
 
 EXIT_OK = 0
@@ -186,34 +178,25 @@ def _op_system(args):
     return op_from_weight(w, Segment(-7.5, 7.5), n), w, n
 
 
-def _confluent_system(args):
+def _confluent_params(args) -> ConfluentSpec:
     if not args.b or not args.mult:
         raise DomainError("--b and --mult are required for the confluent ensemble")
     b = tuple(_parse_floats(args.b))
     mult = tuple(_number(v, int) for v in args.mult.split(","))
-    spec = ConfluentSpec(b=b, m=Composition(mult))
-    return confluent_weights(spec, args.alpha)
-
-
-def _confluent_ensemble(args) -> EnsembleSpec:
-    ws, comp = _confluent_system(args)
-    xi = tuple(xi_family(ws, comp))
-    n = comp.weight
-    eta = tuple((lambda x, i=i: np.asarray(x, dtype=float) ** i) for i in range(n))
-    return EnsembleSpec(n=n, interval=HalfLine(), eta=eta, xi=xi, quad=ws.quad)
+    return ConfluentSpec(b=b, m=Composition(mult))
 
 
 def _kernel_function(args) -> Callable:
+    """K_N(x, y) of the selected ensemble, broadcasting over x and y."""
+    if args.ensemble == "chgue":
+        return functools.partial(chgue_kernel, _chgue_params(args))
     if args.ensemble == "confluent":
-        kd = build_kernel(_confluent_ensemble(args))
-        return lambda x, y: kernel_eval(kd, x, y)
+        kd = build_kernel(confluent_spec(_confluent_params(args), args.alpha))
+        return functools.partial(kernel_eval, kd)
     sys_, w, n = _op_system(args)
-
-    def cd_kernel(x, y):
-        total = sum(sys_.eval(k, x) * sys_.eval(k, y) / sys_.norms[k] for k in range(n))
-        return float(w(np.asarray(y, dtype=float))) * total
-
-    return cd_kernel
+    return lambda x, y: w(y) * sum(
+        sys_.eval(k, x) * sys_.eval(k, y) / sys_.norms[k] for k in range(n)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -262,23 +245,16 @@ def _params_dict(args) -> dict:
 
 def _cmd_kernel(args) -> int:
     grid = _parse_grid(args.grid)
-    if args.ensemble == "chgue":
-        values = chgue_kernel(_chgue_params(args), grid[:, None], grid[None, :]).ravel()
-    else:
-        kernel = _kernel_function(args)
-        values = [kernel(float(x), float(y)) for x in grid for y in grid]
-    rows = [(float(x), float(y), float(v))
-            for (x, y), v in zip(itertools.product(grid, grid), values)]
+    xs, ys = grid[:, None], grid[None, :]
+    values = _kernel_function(args)(xs, ys)
+    gx, gy = np.meshgrid(grid, grid, indexing="ij")
+    rows = np.column_stack([gx.ravel(), gy.ravel(), values.ravel()]).tolist()
     extra = None
     if args.cross_check:
         if args.ensemble != "chgue":
             raise DomainError("--cross-check applies to the chgue ensemble only")
-        params = _chgue_params(args)
-        kd = build_kernel(ensemble_spec(params))
-        dev = 0.0
-        for x, y, v in rows:
-            ref = kernel_eval(kd, x, y)
-            dev = max(dev, abs(v - ref) / max(abs(ref), 1e-12))
+        ref = kernel_eval(build_kernel(ensemble_spec(_chgue_params(args))), xs, ys)
+        dev = float(np.max(np.abs(values - ref) / np.maximum(np.abs(ref), 1e-12)))
         extra = {"cross_check_max_rel_dev": dev}
         print(f"cross-check max relative deviation: {dev:.3e}", file=sys.stderr)
     _emit(args, ["x", "y", "K"], rows, _params_dict(args), extra)
@@ -298,7 +274,7 @@ def _cmd_poly(args) -> int:
             m = float(np.dot(rule.dx_weights, rule.nodes ** (params.n - 1) * f(rule.nodes)))
             selftest = m
     elif args.ensemble == "confluent":
-        ws, comp = _confluent_system(args)
+        ws, comp = confluent_weights(_confluent_params(args), args.alpha)
         if args.kind == "II":
             f = type_two(ws, comp)
         else:
@@ -319,7 +295,7 @@ def _cmd_poly(args) -> int:
     if selftest is not None:
         print(f"type I self-test: final moment = {selftest:.12g} (should be 1)",
               file=sys.stderr)
-    rows = [(float(x), float(f(float(x)))) for x in grid]
+    rows = np.column_stack([grid, f(grid)]).tolist()
     _emit(args, ["x", "value"], rows, _params_dict(args))
     return EXIT_OK
 
@@ -329,7 +305,7 @@ def _cmd_corr(args) -> int:
     if args.ensemble == "chgue":
         spec = ensemble_spec(_chgue_params(args))
     elif args.ensemble == "confluent":
-        spec = _confluent_ensemble(args)
+        spec = confluent_spec(_confluent_params(args), args.alpha)
     else:
         raise DomainError("corr supports the chgue and confluent ensembles")
     value = correlation(build_kernel(spec), points)
@@ -382,17 +358,13 @@ def _cmd_verify(args) -> int:
     elif args.suite == "kernel":
         params = _chgue_params(args)
         kd = build_kernel(ensemble_spec(params))
-        dev = 0.0
-        for _ in range(5):
-            x, y = rng.uniform(0.2, 6.0, size=2)
-            ref = kernel_eval(kd, x, y)
-            dev = max(dev, abs(chgue_kernel(params, x, y) - ref) / max(abs(ref), 1e-12))
+        x, y = rng.uniform(0.2, 6.0, size=(5, 2)).T
+        ref = kernel_eval(kd, x, y)
+        dev = float(np.max(np.abs(chgue_kernel(params, x, y) - ref)
+                           / np.maximum(np.abs(ref), 1e-12)))
         checks.append(("closed-form kernel vs generic path", dev, tols["kernel"]))
         rule = gauss_laguerre(64, params.alpha)
-        trace = float(
-            np.dot(rule.dx_weights,
-                   [kernel_eval(kd, t, t) for t in rule.nodes])
-        )
+        trace = float(np.dot(rule.dx_weights, kernel_eval(kd, rule.nodes, rule.nodes)))
         checks.append(("kernel trace = N", abs(trace - params.n), tols["trace"]))
     elif args.suite == "ortho":
         params = _chgue_params(args)
@@ -436,12 +408,9 @@ def _cmd_verify(args) -> int:
     elif args.suite == "rankdecomp":
         for n, r, a in ((3, 1, (0.9, 0.0, 0.0)), (4, 2, (1.2, 0.5, 0.0, 0.0))):
             params = ChgueParams(args.alpha, a)
-            b = tuple(v for v in dict.fromkeys(a))
-            mult = tuple(sum(1 for v in a if v == bv) for bv in b)
-            ws, comp = confluent_weights(ConfluentSpec(b=b, m=Composition(mult)), args.alpha)
-            xi = tuple(xi_family(ws, comp))
-            eta = tuple((lambda x, i=i: np.asarray(x, dtype=float) ** i) for i in range(n))
-            kd = build_kernel(EnsembleSpec(n=n, interval=HalfLine(), eta=eta, xi=xi, quad=ws.quad))
+            b = tuple(dict.fromkeys(a))
+            mult = tuple(a.count(bv) for bv in b)
+            kd = build_kernel(confluent_spec(ConfluentSpec(b=b, m=Composition(mult)), args.alpha))
             x, y = 0.5, 1.4
             full, _, _ = rank_decomposition(params, r, x, y)
             ref = kernel_eval(kd, x, y)

@@ -189,27 +189,32 @@ def build_kernel(spec: EnsembleSpec) -> KernelData:
     return KernelData(spec=spec, gram=g, coeffs=coeffs, z_n=z_n)
 
 
-def kernel_eval(k: KernelData, x: float, y: float) -> float:
+def kernel_eval(k: KernelData, x: ArrayLike, y: ArrayLike) -> float | NDArray[np.float64]:
     r"""$K_N(x,y) = \sum_{i,j} \eta_i(x)\, c_{i,j}\, \xi_j(y)$ — the plain
-    double sum, no smoothing or regularization."""
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    ya = np.atleast_1d(np.asarray(y, dtype=float))
-    ev = np.array([f(xa)[0] for f in k.spec.eta])
-    zv = np.array([f(ya)[0] for f in k.spec.xi])
-    return float(ev @ k.coeffs @ zv)
+    double sum, no smoothing or regularization.
+
+    ``x`` and ``y`` broadcast like numpy arrays, so ``x[:, None]`` with
+    ``y[None, :]`` gives the table of all pairs; scalars give a float.  Each
+    $\eta_i$ is evaluated once on all of ``x`` and each $\xi_j$ once on all
+    of ``y``.  The sum over $i$ is taken first, as
+    $u_j(x) = \sum_i c_{i,j}\,\eta_i(x)$, then the sum over $j$; this
+    order rounds less than one flat sum over all $N^2$ terms when the
+    terms cancel (monomial $\eta$ on a wide grid)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    ev = np.array([f(x.ravel()) for f in k.spec.eta]).reshape((k.spec.n,) + x.shape)
+    zv = np.array([f(y.ravel()) for f in k.spec.xi]).reshape((k.spec.n,) + y.shape)
+    out = np.einsum("j...,j...->...", np.tensordot(k.coeffs, ev, axes=(0, 0)), zv)
+    return float(out) if out.ndim == 0 else out
 
 
 def correlation(k: KernelData, points: Sequence[float]) -> float:
-    r"""$\rho_{n,N}(x_1,\dots,x_n) = \det[K_N(x_i, x_j)]_{n \times n}$."""
-    points = np.asarray(points, dtype=float)
-    n = points.size
-    if n > k.spec.n:
-        raise DomainError(f"correlation order {n} exceeds ensemble size {k.spec.n}")
-    m = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            m[i, j] = kernel_eval(k, points[i], points[j])
-    return float(np.linalg.det(m))
+    r"""$\rho_{n,N}(x_1,\dots,x_n) = \det[K_N(x_i, x_j)]_{n \times n}$, with
+    the $n \times n$ matrix from one broadcast :func:`kernel_eval` call."""
+    p = np.asarray(points, dtype=float).ravel()
+    if p.size > k.spec.n:
+        raise DomainError(f"correlation order {p.size} exceeds ensemble size {k.spec.n}")
+    return float(np.linalg.det(kernel_eval(k, p[:, None], p[None, :])))
 
 
 def pdf_eval(spec: EnsembleSpec, x: ArrayLike) -> float | NDArray[np.float64]:

@@ -266,6 +266,14 @@ class TestRatioOracle:
         with pytest.raises(CapacityError):
             RatioOracle(m, y=1.0)
 
+    def test_untested_size_rejected(self):
+        # past N = 8 the oracle loses digits without warning, so it refuses
+        m = SourceModel("chiral", 9, tuple(0.3 * (i + 1) for i in range(9)), alpha=0)
+        with pytest.raises(CapacityError, match="N <= 8"):
+            RatioOracle(m, y=1.0)
+        with pytest.raises(CapacityError):
+            kernel_from_ratio(m, 0.5, 1.0)
+
     def test_chiral_coincident_sources_rejected(self):
         m = SourceModel("chiral", 2, (0.5, 0.5), alpha=0)
         with pytest.raises(DomainError):

@@ -12,7 +12,6 @@ from biortho import (
     ConfluentSpec,
     ConvergenceError,
     DomainError,
-    EnsembleSpec,
     HalfLine,
     build_kernel,
     chgue_gram,
@@ -20,6 +19,7 @@ from biortho import (
     chgue_pdf,
     chgue_type_one,
     chgue_type_two,
+    confluent_spec,
     confluent_weights,
     ensemble_spec,
     gauss_laguerre,
@@ -33,7 +33,6 @@ from biortho import (
     type_one,
     type_two,
     w_alpha,
-    xi_family,
 )
 from biortho import chgue
 from biortho.ensembles import _dx_rule
@@ -78,18 +77,6 @@ def mp_kernel(alpha, a, x, y):
         [y**alpha * mp.exp(-y) * mp.hyp0f1(alpha + 1, aj * y) / mp.gamma(alpha + 1) for aj in a]
     )
     return float((eta.T * mp.lu_solve(gram.T, xi))[0])
-
-
-def confluent_kernel(alpha, a):
-    """Independent kernel for decreasing sources with repeats, through the
-    confluent weight system and the generic monomial-eta machinery."""
-    n = len(a)
-    b = tuple(dict.fromkeys(a))
-    mult = tuple(sum(1 for v in a if v == bv) for bv in b)
-    ws, comp = confluent_weights(ConfluentSpec(b=b, m=Composition(mult)), alpha)
-    xi = tuple(xi_family(ws, comp))
-    eta = tuple((lambda x, i=i: np.asarray(x, dtype=float) ** i) for i in range(n))
-    return build_kernel(EnsembleSpec(n=n, interval=HalfLine(), eta=eta, xi=xi, quad=ws.quad))
 
 
 class TestWeightAndParams:
@@ -291,7 +278,7 @@ class TestKernel:
     def test_coincident_sources(self):
         # coincident sources against the confluent generic kernel
         for alpha, b in ((0.0, 0.7), (0.5, 1.0)):
-            kd = confluent_kernel(alpha, (b, b))
+            kd = build_kernel(confluent_spec(ConfluentSpec((b,), Composition((2,))), alpha))
             p = ChgueParams(alpha, (b, b))
             for x, y in [(0.5, 1.7), (3.0, 0.9), (6.0, 4.0)]:
                 ref = kernel_eval(kd, x, y)
@@ -428,14 +415,7 @@ class TestConfluentWeights:
         # b (multiplicity 2) ~ distinct-path kernel at b +- delta
         alpha, b, delta = 0.0, 0.6, 5e-4
         spec = ConfluentSpec(b=(b,), m=Composition((2,)))
-        ws, comp = confluent_weights(spec, alpha)
-        xi = tuple(xi_family(ws, comp))
-        eta = tuple(
-            (lambda x, i=i: np.asarray(x, dtype=float) ** i) for i in range(2)
-        )
-        kd = build_kernel(
-            EnsembleSpec(n=2, interval=HalfLine(), eta=eta, xi=xi, quad=ws.quad)
-        )
+        kd = build_kernel(confluent_spec(spec, alpha))
         p = ChgueParams(alpha, (b + delta, b - delta))
         for x, y in [(0.5, 1.7), (3.0, 0.9)]:
             conf = kernel_eval(kd, x, y)
@@ -470,10 +450,13 @@ class TestLaguerreCdKernel:
 class TestRankDecomposition:
     def test_identity(self):
         rng = np.random.default_rng(6)
-        for n, r, a in ((3, 1, (0.9, 0.0, 0.0)), (4, 2, (1.2, 0.5, 0.0, 0.0))):
+        for r, a, conf in (
+            (1, (0.9, 0.0, 0.0), ConfluentSpec((0.9, 0.0), Composition((1, 2)))),
+            (2, (1.2, 0.5, 0.0, 0.0), ConfluentSpec((1.2, 0.5, 0.0), Composition((1, 1, 2)))),
+        ):
             for alpha in (0.0, 1.0):
                 p = ChgueParams(alpha, a)
-                kd = confluent_kernel(alpha, a)
+                kd = build_kernel(confluent_spec(conf, alpha))
                 for _ in range(3):
                     x, y = rng.uniform(0.3, 5.0, size=2)
                     full, unpert, corr = rank_decomposition(p, r, float(x), float(y))

@@ -6,12 +6,24 @@ import pytest
 
 from biortho import (
     ChgueParams,
+    Composition,
+    ConfluentSpec,
+    HalfLine,
+    Segment,
     SourceModel,
     avg_charpoly,
+    build_kernel,
     chgue_kernel,
+    chgue_type_one,
     chgue_type_two,
+    confluent_spec,
+    confluent_weights,
+    gauss_laguerre,
+    kernel_eval,
+    op_from_weight,
     rho1_check,
     sample_spectra,
+    type_one,
 )
 from biortho.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
@@ -20,6 +32,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def table(out: str) -> np.ndarray:
+    """The rows of a CSV table, header dropped."""
+    return np.array([[float(v) for v in line.split(",")] for line in out.strip().splitlines()[1:]])
+
+
+def cd_kernel(sys_, w, n, x: float, y: float) -> float:
+    """Per-point Christoffel-Darboux sum of an orthogonal-polynomial system."""
+    return w(y) * sum(sys_.eval(k, x) * sys_.eval(k, y) / sys_.norms[k] for k in range(n))
+
+
+def assert_normwise(values, ref, tol: float) -> None:
+    ref = np.asarray(ref)
+    assert np.max(np.abs(np.asarray(values) - ref)) <= tol * np.max(np.abs(ref))
 
 
 class TestKernelCommand:
@@ -60,6 +87,35 @@ class TestKernelCommand:
         doc = json.loads(out)
         assert doc["metadata"]["cross_check_max_rel_dev"] < 1e-7
         assert "cross-check" in err
+
+    @pytest.mark.parametrize("ensemble", ["confluent", "laguerre", "hermite"])
+    def test_table_matches_per_point(self, capsys, ensemble):
+        flags = {
+            "confluent": ["--alpha", "1", "--b", "0.8,0.0", "--mult", "2,1"],
+            "laguerre": ["--alpha", "0.5", "--n", "3"],
+            "hermite": ["--n", "4"],
+        }[ensemble]
+        code, out, _ = run(capsys, "kernel", "--ensemble", ensemble, *flags,
+                           "--grid", "0.25:5:5")
+        assert code == EXIT_OK
+        rows = table(out)
+        assert rows.shape == (25, 3)
+        if ensemble == "confluent":
+            spec = ConfluentSpec((0.8, 0.0), Composition((2, 1)))
+            kd = build_kernel(confluent_spec(spec, 1.0))
+            ref = [kernel_eval(kd, x, y) for x, y in rows[:, :2]]
+        elif ensemble == "laguerre":
+            w = lambda t: t**0.5 * np.exp(-t)
+            sys_ = op_from_weight(w, HalfLine(), 3, quad=gauss_laguerre(64, 0.5))
+            ref = [cd_kernel(sys_, w, 3, x, y) for x, y in rows[:, :2]]
+        else:
+            w = lambda t: np.exp(-t * t)
+            sys_ = op_from_weight(w, Segment(-7.5, 7.5), 4)
+            ref = [cd_kernel(sys_, w, 4, x, y) for x, y in rows[:, :2]]
+        grid = np.linspace(0.25, 5.0, 5)
+        np.testing.assert_array_equal(rows[:, 0], np.repeat(grid, 5))
+        np.testing.assert_array_equal(rows[:, 1], np.tile(grid, 5))
+        assert_normwise(rows[:, 2], ref, 1e-13)
 
     def test_out_file(self, tmp_path, capsys):
         path = tmp_path / "k.csv"
@@ -106,6 +162,22 @@ class TestPolyCommand:
         assert code == EXIT_OK
         assert "self-test" in err
 
+    @pytest.mark.parametrize("ensemble", ["chgue", "confluent"])
+    def test_type_one_matches_per_point(self, capsys, ensemble):
+        if ensemble == "chgue":
+            flags = ["--alpha", "1", "--a", "1.3,0.6,0.2"]
+            f = chgue_type_one(ChgueParams(1.0, (1.3, 0.6, 0.2)))
+        else:
+            flags = ["--alpha", "1", "--b", "0.8,0.0", "--mult", "2,1"]
+            ws, comp = confluent_weights(ConfluentSpec((0.8, 0.0), Composition((2, 1))), 1.0)
+            f = type_one(ws, comp)
+        code, out, _ = run(capsys, "poly", "--ensemble", ensemble, *flags,
+                           "--kind", "I", "--grid", "0:10:11")
+        assert code == EXIT_OK
+        rows = table(out)
+        np.testing.assert_array_equal(rows[:, 0], np.linspace(0.0, 10.0, 11))
+        assert_normwise(rows[:, 1], [f(x) for x in rows[:, 0]], 1e-13)
+
     def test_confluent(self, capsys):
         code, out, _ = run(
             capsys,
@@ -151,7 +223,12 @@ class TestVerifySuites:
     def test_kernel_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "kernel")
         assert code == EXIT_OK
-        assert "SUITE PASS" in out
+        lines = out.strip().splitlines()
+        assert [line.split(" residual=")[0] for line in lines] == [
+            "PASS closed-form kernel vs generic path",
+            "PASS kernel trace = N",
+            "SUITE PASS",
+        ]
 
     def test_ortho_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "ortho")

@@ -98,7 +98,32 @@ class TestBuildKernel:
             build_kernel(spec)
 
 
+def kernel_double_sum(kd, x: float, y: float) -> float:
+    """Per-point reference: the double sum over eta_i(x) c_ij xi_j(y)."""
+    ev = [float(f(np.array([x]))[0]) for f in kd.spec.eta]
+    zv = [float(f(np.array([y]))[0]) for f in kd.spec.xi]
+    return math.fsum(
+        ev[i] * kd.coeffs[i, j] * zv[j] for i in range(kd.spec.n) for j in range(kd.spec.n)
+    )
+
+
 class TestKernel:
+    def test_broadcasting(self):
+        kd = build_kernel(laguerre_spec(3, alpha=0.5))
+        rng = np.random.default_rng(11)
+        x, y = rng.uniform(0.1, 8.0, size=(2, 6))
+        value = kernel_eval(kd, 0.7, 2.4)
+        assert isinstance(value, float)
+        assert value == pytest.approx(kernel_double_sum(kd, 0.7, 2.4), rel=1e-13, abs=0)
+        pairs = kernel_eval(kd, x, y)
+        assert pairs.shape == (6,)
+        ref = [kernel_double_sum(kd, u, v) for u, v in zip(x, y)]
+        np.testing.assert_allclose(pairs, ref, rtol=1e-13, atol=0)
+        table = kernel_eval(kd, x[:, None], y[None, :4])
+        assert table.shape == (6, 4)
+        ref = [[kernel_double_sum(kd, u, v) for v in y[:4]] for u in x]
+        np.testing.assert_allclose(table, ref, rtol=1e-13, atol=0)
+
     def test_reproducing_property(self):
         # int K(x,t) K(t,y) dt = K(x,y)
         kd = build_kernel(laguerre_spec(3))
@@ -178,6 +203,19 @@ class TestPdfAndCorrelation:
             lhs = correlation(kd, points)
             rhs = correlation_by_marginal(spec, points)
             assert lhs == pytest.approx(rhs, rel=1e-8)
+
+    def test_correlation_matches_scalar_loop(self):
+        kd = build_kernel(laguerre_spec(4, alpha=1.0))
+        for points in ([1.2], [0.6, 2.8], [0.3, 1.7, 4.1, 6.5]):
+            n = len(points)
+            m = np.empty((n, n))
+            for i in range(n):
+                for j in range(n):
+                    m[i, j] = kernel_eval(kd, points[i], points[j])
+            ref = float(np.linalg.det(m))
+            value = correlation(kd, points)
+            assert isinstance(value, float)
+            assert value == pytest.approx(ref, rel=1e-12, abs=0)
 
     def test_order_cap(self):
         kd = build_kernel(laguerre_spec(2))
