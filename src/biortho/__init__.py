@@ -34,6 +34,7 @@ from .chgue import (
     rank_decomposition,
     residue_kernel,
     scaled_laguerre_eta,
+    staircase_functions,
     w_alpha,
 )
 from .ensembles import (
@@ -77,7 +78,6 @@ from .multipoly import (
 )
 from .numerics import (
     QuadratureRule,
-    bessel_i,
     det,
     elem_sym,
     gauss_laguerre,
@@ -87,7 +87,6 @@ from .numerics import (
     laguerre,
     log_gamma,
     max_gram_size,
-    partial_fraction_weights,
     solve,
     vandermonde,
 )

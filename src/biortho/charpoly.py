@@ -9,9 +9,13 @@ $$ P(x) = \langle \det(x - X) \rangle, \qquad
 
 Sampling is exact for the Gaussian potential only (completion of the
 square, ``X = A/2 + G``); every identity under test is potential-agnostic,
-so Gaussian suffices.  Residues are taken in the Sokhotski–Plemelj form
-$(1/\pi)\,\mathrm{Im}\,F(x - i\varepsilon)$ over a decreasing
-$\varepsilon$-schedule and extrapolated to $\varepsilon \to 0$.
+so Gaussian suffices.  Residues are the Sokhotski–Plemelj jump
+$(1/\pi)\,\mathrm{Im}\,F(x - i0)$.  The quadrature oracle takes that
+limit exactly: the jump of the ratio's Andréief matrix across the real axis
+is rank one, so no $\varepsilon$ is involved.  Monte Carlo averages have no
+such limit; for them :func:`residue_extract` evaluates $F(x - i\varepsilon)$
+over a decreasing $\varepsilon$-schedule and extrapolates to
+$\varepsilon \to 0$.
 
 Determinism contract: every sample's normal variates come from a
 counter-based stream keyed by ``(seed, sample_index)``, and all reductions
@@ -39,13 +43,15 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.special import ndtri
 
-from .chgue import ChgueParams, chgue_kernel, w_alpha
-from .ensembles import (
-    HalfLine,
-    Segment,
-    op_from_weight,
+from .chgue import ChgueParams, chgue_kernel, staircase_functions
+from .ensembles import HalfLine, Segment, op_from_weight
+from .errors import (
+    CapacityError,
+    ConvergenceError,
+    DomainError,
+    NumericWarning,
+    UnsupportedModelError,
 )
-from .errors import CapacityError, DomainError, NumericWarning, UnsupportedModelError
 from .numerics import gauss_laguerre, gauss_legendre, max_gram_size
 
 __all__ = [
@@ -66,8 +72,11 @@ __all__ = [
 
 DEFAULT_EPS_SCHEDULE = (1e-2, 5e-3, 2.5e-3)
 _CHUNK = 65536
-# largest N at which the quadrature oracle is tested against chgue_kernel
-_ORACLE_MAX_N = 8
+# relative size of rounding: series convergence and residue_extract's floor
+_ROUNDING = 16 * np.finfo(float).eps
+_SERIES_MAX_TERMS = 500
+# the oracle's panel ends either side of the pole
+_POLE_CUTS = (1.0, 5.0, 10.0, 20.0, 45.0, 70.0)
 
 
 @dataclass(frozen=True)
@@ -301,18 +310,16 @@ def residue_extract(
     f: Callable,
     x: float,
     eps_schedule: Sequence[float] = DEFAULT_EPS_SCHEDULE,
-    assume_order: int | None = None,
 ) -> float:
     r"""Sokhotski–Plemelj residue: evaluates $(1/\pi)\,\mathrm{Im}\,
     f(x - i\varepsilon)$ on the schedule and extrapolates to
-    $\varepsilon \to 0$.
+    $\varepsilon \to 0$ with the polynomial in $\varepsilon$ through all
+    schedule points (the smoothing error of the Poisson kernel has a genuine
+    linear term, so a pure even-order Richardson step stalls).
 
-    By default the extrapolation fits a polynomial in $\varepsilon$ through
-    all schedule points (the smoothing error of the Poisson kernel has a
-    genuine linear term, so a pure even-order Richardson step stalls);
-    ``assume_order=k`` instead performs Richardson steps assuming an
-    $O(\varepsilon^k)$ error.  Non-monotone convergence across the schedule
-    attaches a :class:`NumericWarning`."""
+    Successive differences that grow across the schedule by more than
+    rounding attach a :class:`NumericWarning`; values that agree to rounding
+    never warn."""
     eps = np.asarray(sorted(eps_schedule, reverse=True), dtype=float)
     if eps.size < 1 or np.any(eps <= 0):
         raise DomainError("eps_schedule must contain positive values")
@@ -320,150 +327,163 @@ def residue_extract(
     if eps.size == 1:
         return float(vals[0])
     diffs = np.abs(np.diff(vals))
-    if np.any(np.diff(diffs) > 0):
+    floor = _ROUNDING * np.max(np.abs(vals))
+    if np.any(np.diff(diffs) > floor):
         warnings.warn(
             f"residue_extract at x={x}: non-monotone convergence across the "
             f"eps schedule (values {vals.tolist()}); result may be unreliable",
             NumericWarning,
             stacklevel=2,
         )
-    if assume_order is None:
-        # exact polynomial through all (eps, value) points, evaluated at 0
-        coeffs = np.polynomial.polynomial.polyfit(eps, vals, deg=eps.size - 1)
-        return float(coeffs[0])
-    # single Richardson step eliminating the assumed-order term, using the
-    # two smallest eps of the schedule: F(eps) ~ L + c eps^k
-    k = assume_order
-    e1, e2 = eps[-2], eps[-1]
-    v1, v2 = vals[-2], vals[-1]
-    return float((v2 * e1**k - v1 * e2**k) / (e1**k - e2**k))
+    # exact polynomial through all (eps, value) points, evaluated at 0
+    coeffs = np.polynomial.polynomial.polyfit(eps, vals, deg=eps.size - 1)
+    return float(coeffs[0])
 
 
 # ---------------------------------------------------------------------------
 # quadrature oracle
 # ---------------------------------------------------------------------------
 
-def _pole_resolving_nodes(
-    interval, y: float, eps_min: float
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Composite Gauss-Legendre rule whose panels grade dyadically into the
-    near-pole point y (down to width ~eps_min/4), so integrands with an
-    off-axis pole at y - i*eps stay resolved for every eps in the schedule.
-
-    The half line is cut at 100, not earlier: the oracle's moments
-    t^{2N} e^{-t} 0F1(alpha+1; a t) keep weight past t = 45 once N >= 6, and a
-    cut there cost 4e-9 to 3e-7 relative in the N = 6 to 8 Gram entries."""
-    if isinstance(interval, HalfLine):
-        lo, hi = 0.0, 100.0
-    else:
-        lo, hi = interval.a, interval.b
+def _pole_rule(lo: float, hi: float, y: float) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Composite 32-point Gauss–Legendre rule on [lo, hi] with the pole y
+    as a panel end, so no node sits on it and the singularity-subtracted
+    integrands are smooth on every panel.  The other panel ends are
+    ``y +- 1, 5, 10, 20, 45, 70``, clipped to the window."""
     if not lo < y < hi:
         raise DomainError(f"pole location {y} outside the integration window ({lo}, {hi})")
-    w0 = 1.0
-    j_max = max(1, math.ceil(math.log2(w0 / (eps_min / 4.0))))
-    cuts = [y - w0]
-    for j in range(j_max):
-        cuts.append(y - w0 * 2.0 ** -(j + 1))
-    cuts.append(y)
-    for j in range(j_max, 0, -1):
-        cuts.append(y + w0 * 2.0 ** -j)
-    cuts.append(y + w0)
-    cuts = [min(max(c, lo), hi) for c in cuts]
-    panels: list[tuple[float, float, int]] = []
-    # smooth backbone away from the pole
-    if cuts[0] - lo > 1e-12:
-        panels.append((lo, cuts[0], 24))
-    for a, b in zip(cuts, cuts[1:]):
-        if b - a > 1e-14:
-            panels.append((a, b, 8))
-    right = cuts[-1]
-    if isinstance(interval, HalfLine):
-        for b in (right + 5.0, 20.0, 45.0, 70.0, 100.0):
-            if b - right > 1e-12:
-                panels.append((right, min(b, hi), 24))
-                right = min(b, hi)
-    elif hi - right > 1e-12:
-        panels.append((right, hi, 24))
-    nodes, weights = [], []
-    for a, b, k in panels:
-        r = gauss_legendre(k, a, b)
-        nodes.append(r.nodes)
-        weights.append(r.weights)
-    return np.concatenate(nodes), np.concatenate(weights)
+    cuts = sorted({lo, hi, y} | {min(max(y + d, lo), hi) for c in _POLE_CUTS for d in (-c, c)})
+    rules = [gauss_legendre(32, a, b) for a, b in zip(cuts, cuts[1:])]
+    return np.concatenate([r.nodes for r in rules]), np.concatenate([r.weights for r in rules])
+
+
+def _newton_column(a: NDArray[np.float64], t: NDArray[np.float64]) -> NDArray[np.float64]:
+    r"""$e^{tJ} e_1$ at every node of the 1-d ``t``, shape ``(N, t.size)``:
+    by Opitz's theorem the prefix divided differences
+    $e^{t\,\cdot}[a_1..a_k]$, $k = 1..N$, with $J$ lower bidiagonal (the
+    $a_i$ on its diagonal, ones below it).  Coincident sources turn into
+    $t^{k-1} e^{a t}/(k-1)!$ with no special case.  The Taylor series runs on
+    $J - cI$, $c$ the mean source, and is scaled back by $e^{ct}$."""
+    c = float(np.mean(a))
+    diag = (a - c)[:, None]
+    term = np.zeros((a.size, t.size))
+    term[0] = 1.0
+    total = term.copy()
+    for k in range(_SERIES_MAX_TERMS):
+        jt = diag * term
+        jt[1:] += term[:-1]
+        term = jt * (t / (k + 1))
+        total += term
+        if np.all(np.abs(term) <= _ROUNDING * np.abs(total)):
+            return total * np.exp(c * t)
+    raise ConvergenceError(
+        f"exponential series did not converge in {_SERIES_MAX_TERMS} terms "
+        f"(sources {a.tolist()}, max |t| = {np.max(np.abs(t)):.3g})",
+        partial=total,
+    )
 
 
 class RatioOracle:
-    r"""Quadrature evaluator of symmetric-function averages
-    $\langle \prod_i g(x_i) \rangle$ over the exact joint density, on a
-    composite rule resolving a pole near ``y``.
+    r"""Quadrature evaluator of averages over the exact joint density,
+    $\langle \prod_i g(x_i) \rangle$ and the ratio-identity kernel at the
+    pole ``y``.
 
-    By the Andréief identity the $N$-fold sum over the nodes $t_k$ (weights
-    $w_k$) collapses to a ratio of two $N \times N$ determinants,
+    The density is $\det[\eta_i(x_k)]\det[\xi_j(x_k)]$, and by the Andréief
+    identity the $N$-fold integral collapses to a ratio of two $N \times N$
+    determinants,
 
     $$ \langle \textstyle\prod_i g(x_i) \rangle
        = \det G_g / \det G_1, \qquad
-       (G_g)_{i,j} = \sum_k w_k\, g(t_k)\, \eta_i(t_k)\, \xi_j(t_k), $$
+       (G_g)_{i,j} = \int g\, \eta_i\, \xi_j . $$
 
-    so the oracle still integrates the joint density and never touches the
-    kernel formulas.  Both determinants are taken as ``slogdet`` pairs, so
-    neither has to be representable.  Supports $1 \le N \le 8$ (and no
-    more than :func:`~biortho.numerics.max_gram_size`), and raises
-    :class:`CapacityError` above that.  On the chiral model with
-    sources spread over $[0.05, 2.2]$ the ratio-identity kernel stays within
-    $4\cdot 10^{-7}$ of :func:`~biortho.chgue.chgue_kernel` up to $N = 8$;
-    past that it loses digits without warning ($5\cdot 10^{-4}$ absolute at
-    $N = 10$, $0.4$ at $N = 12$ over $[0.05, 3]$), so larger N is refused.
+    The ratio depends only on the two spans, which the density fixes: the
+    polynomials of degree below $N$, and the span of the source weights.
+    The basis within each span only sets the conditioning:
+
+    - chiral: the staircase pair of
+      :func:`~biortho.chgue.staircase_functions`, $\eta_i = P_i$ and
+      $\xi_j = Q_{j+1}$, so $G_1 = I$ up to quadrature error;
+    - Hermitian: $\eta_i = t^i$ and
+      $\xi_j = e^{-t^2} (e^{tJ} e_1)_j$, the Newton basis of the weights
+      $e^{-t^2 + a_j t}$ (any mix of distinct and coincident sources).
+
+    So the chiral oracle is no function compared with itself: a wrong
+    coefficient in $P_i$ or $Q_j$ moves :func:`~biortho.chgue.chgue_kernel`
+    but not the oracle, whose determinant ratio cancels any change of basis.
+
+    The rule is a composite 32-point Gauss–Legendre rule with ``y`` as a
+    panel end (:func:`_pole_rule`) on $[0, 100]$ (chiral) or $[-8, 8]$
+    (Hermitian).  The half line is cut at 100, not earlier: the moments
+    $t^{2N} e^{-t}\,_0F_1(\alpha+1; a t)$ keep weight past $t = 45$ once
+    $N \ge 6$.  Supports $N \le$ :func:`~biortho.numerics.max_gram_size`
+    and raises :class:`CapacityError` above it.
     """
 
-    def __init__(self, m: SourceModel, y: float, eps_min: float = min(DEFAULT_EPS_SCHEDULE)):
-        cap = min(_ORACLE_MAX_N, max_gram_size())
+    def __init__(self, m: SourceModel, y: float):
+        cap = max_gram_size()
         if m.n > cap:
-            raise CapacityError(
-                f"quadrature oracle supports N <= {cap}, got N = {m.n} "
-                f"(past N = {_ORACLE_MAX_N} it loses digits without warning)"
-            )
+            raise CapacityError(f"quadrature oracle supports N <= {cap}, got N = {m.n}")
         self.model = m
-        n = m.n
+        self.y = y
         if m.kind == "chiral":
-            if len(set(m.a)) < n:
-                raise DomainError(
-                    f"chiral oracle needs distinct source parameters, got {m.a}"
-                )
-            interval = HalfLine()
-            alpha = float(m.alpha)
-            xi = [w_alpha(alpha, ai) for ai in m.a]
+            lo, hi = 0.0, 100.0
+            p = ChgueParams(float(m.alpha), m.a)
+            basis = lambda t: staircase_functions(p, t, t)
         else:
-            interval = Segment(-8.0, 8.0)
-            distinct = len(set(m.a))
-            if distinct == n:
-                xi = [(lambda t, ai=ai: np.exp(-t * t + ai * t)) for ai in m.a]
-            elif distinct == 1:
-                # fully coincident source: the determinant degenerates into
-                # the Vandermonde-limit basis t^i e^{-t^2 + a t}
-                a0 = m.a[0]
-                xi = [(lambda t, i=i: t**i * np.exp(-t * t + a0 * t)) for i in range(n)]
-            else:
-                raise DomainError(
-                    "hermitian oracle supports fully distinct or fully "
-                    f"coincident source parameters, got {m.a}"
-                )
-        t, w = _pole_resolving_nodes(interval, y, eps_min)
+            lo, hi = -8.0, 8.0
+            a = np.asarray(m.a)
+            basis = lambda t: (
+                np.vander(t, m.n, increasing=True).T,
+                np.exp(-t * t) * _newton_column(a, t),
+            )
+        t, w = _pole_rule(lo, hi, y)
+        eta, xi = basis(np.append(t, y))
         self.nodes = t
-        self._eta_w = np.vstack([t**i for i in range(n)]) * w
-        self._xi = np.vstack([f(t) for f in xi])
-        self._norm = np.linalg.slogdet(self._eta_w @ self._xi.T)
+        self._u, self._v = eta[:, -1], xi[:, -1]
+        self._eta_w = eta[:, :-1] * w
+        self._xi = xi[:, :-1]
+        self._gram = self._eta_w @ self._xi.T
+        self._norm = np.linalg.slogdet(self._gram)
+        # P of the kernel, up to a multiple of u v^T that the kernel ignores
+        self._cauchy = (self._eta_w / (y - t)) @ self._xi.T
 
     def average(self, g: Callable) -> float | complex:
-        r"""$\langle \prod_i g(x_i) \rangle$ for vectorized ``g``."""
+        r"""$\langle \prod_i g(x_i) \rangle$ for vectorized ``g``, smooth on
+        the window."""
         sign, log_abs = np.linalg.slogdet(
             (self._eta_w * np.asarray(g(self.nodes))) @ self._xi.T
         )
         return sign / self._norm[0] * np.exp(log_abs - self._norm[1])
 
-    def ratio_average(self, x: float, z: complex) -> complex:
-        r"""$\langle \det(x - X)/\det(z - X) \rangle
-        = \langle \prod_i (x - \lambda_i)/(z - \lambda_i) \rangle$."""
-        return self.average(lambda t: (x - t) / (z - t))
+    def kernel(self, x: float) -> float:
+        r"""$K_N(x, y)$ through the ratio identity, with the exact limit
+        $z \to y - i0$ in place of an $\varepsilon$-schedule.
+
+        With $g(t) = (x - t)/(z - t) = 1 + (x - z)/(z - t)$, the limit of
+        $G_g$ is $A + i\pi (x - y)\, u v^T$, where $A = G_1 + (x - y) P$,
+        $P_{ij} = \mathrm{PV}\!\int \eta_i \xi_j/(y - t)$, $u = \eta(y)$ and
+        $v = \xi(y)$.  The jump is rank one, so by the matrix determinant
+        lemma $\frac{1}{\pi}\mathrm{Im}$ of the ratio is
+        $(x - y) \det A\; v^T A^{-1} u / \det G_1$, and
+
+        $$ K_N(x, y) = \det A\; v^T A^{-1} u / \det G_1
+           = -\det \begin{pmatrix} A & u \\ v^T & 0 \end{pmatrix}
+             \Big/ \det G_1 , $$
+
+        one bordered determinant, which stays finite where $A$ is singular.
+        It does not change when a multiple of $u v^T$ is added to $A$ (take
+        that multiple of the last column from the others).  So $P$ is the
+        plain rule sum of $\eta_i \xi_j/(y - t)$: it differs from the
+        singularity-subtracted rule, $\sum_k w_k (\eta_i \xi_j(t_k) - u_i
+        v_j)/(y - t_k)$ plus $u_i v_j \log((y - lo)/(hi - y))$, only by such
+        a multiple, and the subtracted integrand is smooth, with ``y`` a
+        panel end keeping every node off the pole."""
+        n = self.model.n
+        border = np.zeros((n + 1, n + 1))
+        border[:n, :n] = self._gram + (x - self.y) * self._cauchy
+        border[:n, n] = self._u
+        border[n, :n] = self._v
+        sign, log_abs = np.linalg.slogdet(border)
+        return float(-sign / self._norm[0] * np.exp(log_abs - self._norm[1]))
 
 
 def kernel_from_ratio(
@@ -478,29 +498,32 @@ def kernel_from_ratio(
 ) -> float:
     r"""The kernel through the ratio identity
     $K_N(x,y) = \frac{1}{x-y}\,\mathrm{Res}_{z=y}\,
-    \langle \det(x-X)/\det(z-X) \rangle$, with the residue taken by
-    :func:`residue_extract` over the $\varepsilon$-schedule.
+    \langle \det(x-X)/\det(z-X) \rangle$, for $|x - y| \ge 10^{-6}$.
 
     ``mode="quadrature"`` integrates the ratio against the exact joint
-    density through :class:`RatioOracle` (N <= 8);
-    ``mode="montecarlo"`` averages over sampled spectra
-    (all $\varepsilon$ reuse one set of draws)."""
+    density and takes the limit $z \to y - i0$ exactly
+    (:meth:`RatioOracle.kernel`; no $\varepsilon$).  Tested contract on the
+    chiral model: within ``1e-8`` absolute of
+    :func:`~biortho.chgue.chgue_kernel` for $N = 2..12$, $\alpha \in \{0,
+    2\}$ and sources spread over $[0.05, 2.2]$ (measured: at most
+    ``1.2e-12``), and within ``1e-9`` of the generic Gram kernel for
+    $N \le 6$.
+    ``mode="montecarlo"`` averages over sampled spectra, taking the residue
+    with :func:`residue_extract` over ``eps_schedule``, which only this
+    mode uses (all $\varepsilon$ reuse one set of draws)."""
     if abs(x - y) < 1e-6:
         raise DomainError("kernel_from_ratio requires |x - y| >= 1e-6")
     if mode == "quadrature":
-        oracle = RatioOracle(m, y, eps_min=min(eps_schedule))
-        res = residue_extract(lambda z: oracle.ratio_average(x, z), y, eps_schedule)
-    elif mode == "montecarlo":
-        lam = sample_spectra(m, seed, samples, workers=workers)
-        num = np.prod(x - lam, axis=1)
-
-        def ratio(z: complex) -> complex:
-            return complex(np.mean(num * np.prod(1.0 / (z - lam), axis=1)))
-
-        res = residue_extract(ratio, y, eps_schedule)
-    else:
+        return RatioOracle(m, y).kernel(x)
+    if mode != "montecarlo":
         raise DomainError(f"mode must be 'quadrature' or 'montecarlo', got {mode!r}")
-    return res / (x - y)
+    lam = sample_spectra(m, seed, samples, workers=workers)
+    num = np.prod(x - lam, axis=1)
+
+    def ratio(z: complex) -> complex:
+        return complex(np.mean(num * np.prod(1.0 / (z - lam), axis=1)))
+
+    return residue_extract(ratio, y, eps_schedule) / (x - y)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from .chgue import (
     ensemble_spec,
     kernel_sum_check,
     rank_decomposition,
+    staircase_functions,
     w_alpha,
 )
 from .charpoly import SourceModel, charpoly_estimate, rho1_report, sample_spectra
@@ -383,17 +384,11 @@ def _cmd_verify(args) -> int:
             wv = w_alpha(params.alpha, ai)(rule.nodes)
             res2 = max(res2, abs(float(np.dot(rule.dx_weights, wv * p(rule.nodes)))))
         checks.append(("type II first moments vanish", res2, tols["ortho"]))
-        a_sorted = tuple(sorted(params.a, reverse=True))
         # P_i on the first i sources (P_0 = 1) and Q_{j+1} on the first j + 1
-        pv = [chgue_type_two(ChgueParams(params.alpha, a_sorted[:i]))(rule.nodes)
-              if i else np.ones_like(rule.nodes) for i in range(params.n)]
-        qv = [chgue_type_one(ChgueParams(params.alpha, a_sorted[: j + 1]))(rule.nodes)
-              for j in range(params.n)]
-        dev = 0.0
-        for i in range(params.n):
-            for j in range(params.n):
-                val = float(np.dot(rule.dx_weights, pv[i] * qv[j]))
-                dev = max(dev, abs(val - (1.0 if i == j else 0.0)))
+        a_sorted = tuple(sorted(params.a, reverse=True))
+        pv, qv = staircase_functions(ChgueParams(params.alpha, a_sorted), rule.nodes, rule.nodes)
+        gram = (pv * rule.dx_weights) @ qv.T
+        dev = float(np.max(np.abs(gram - np.eye(params.n))))
         checks.append(("staircase biorthogonality", dev, tols["biortho"]))
     elif args.suite == "corollary":
         params = _chgue_params(args)

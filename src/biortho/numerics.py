@@ -46,12 +46,9 @@ __all__ = [
     "laguerre",
     "laguerre_coeffs",
     "hyp0f1",
-    "bessel_i",
     "log_gamma",
     "elem_sym",
     "vandermonde",
-    "partial_fraction_weights",
-    "divided_difference",
     "det",
     "solve",
     "QuadratureRule",
@@ -179,19 +176,6 @@ def hyp0f1(c: float, z) -> NDArray[np.float64] | float:
     return float(out[0]) if scalar else out
 
 
-def bessel_i(alpha: float, z) -> NDArray[np.float64] | float:
-    r"""Modified Bessel function of the first kind,
-    $I_\alpha(z) = \frac{(z/2)^\alpha}{\Gamma(\alpha+1)}\,_0F_1(\alpha+1; z^2/4)$.
-    """
-    if alpha <= -1:
-        raise DomainError(f"bessel_i requires alpha > -1, got {alpha}")
-    z = np.asarray(z, dtype=float)
-    if np.any(z < 0):
-        raise DomainError("bessel_i requires z >= 0")
-    pref = (z / 2.0) ** alpha / math.gamma(alpha + 1)
-    return pref * hyp0f1(alpha + 1, z * z / 4.0)
-
-
 def log_gamma(x: float) -> float:
     r"""$\ln\Gamma(x)$ for $x > 0$ (used for all $\Gamma$ ratios, which are
     formed in log space to survive factorial growth)."""
@@ -226,54 +210,6 @@ def vandermonde(x: Sequence[float]) -> float:
         for j in range(i + 1, x.size):
             out *= x[j] - x[i]
     return out
-
-
-def partial_fraction_weights(z: complex, x: Sequence[float]) -> complex:
-    r"""Partial-fraction identity
-    $\sum_i (z-x_i)^{-1} \prod_{j\ne i} (x_i-x_j)^{-1} = \prod_i (z-x_i)^{-1}$.
-
-    Returns the left-hand sum after asserting agreement with the product
-    form.  Nodes closer than ``1e-10`` relative are rejected (confluent
-    cases are handled explicitly elsewhere, never by automatic switching).
-    """
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    if n == 0:
-        raise DomainError("partial_fraction_weights requires at least one node")
-    scale = max(1.0, float(np.max(np.abs(x))))
-    diffs = x[:, None] - x[None, :]
-    off = ~np.eye(n, dtype=bool)
-    if n > 1 and np.min(np.abs(diffs[off])) < 1e-10 * scale:
-        raise DomainError("partial_fraction_weights: coincident nodes")
-    if np.min(np.abs(z - x)) == 0.0:
-        raise DomainError("partial_fraction_weights: z coincides with a node")
-    total = 0.0 + 0.0j
-    for i in range(n):
-        denom = np.prod(diffs[i][off[i]]) if n > 1 else 1.0
-        total += 1.0 / ((z - x[i]) * denom)
-    product = 1.0 / np.prod(z - x)
-    if abs(total - product) > 1e-8 * max(abs(product), 1e-300):
-        raise NumericError(
-            f"partial-fraction identity violated beyond tolerance: "
-            f"sum={total}, product={product}",
-            partial=total,
-        )
-    return total
-
-
-def divided_difference(values: Sequence[float], nodes: Sequence[float]) -> float:
-    r"""Divided difference $f[x_1,\dots,x_n]$ from function values at distinct
-    nodes, by the standard triangular recurrence."""
-    values = np.asarray(values, dtype=complex if np.iscomplexobj(values) else float).copy()
-    nodes = np.asarray(nodes, dtype=float)
-    n = nodes.size
-    if values.size != n:
-        raise DomainError("divided_difference: values and nodes must match in length")
-    for level in range(1, n):
-        values[: n - level] = (values[1 : n - level + 1] - values[: n - level]) / (
-            nodes[level:] - nodes[: n - level]
-        )
-    return values[0]
 
 
 # ---------------------------------------------------------------------------

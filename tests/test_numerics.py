@@ -13,7 +13,6 @@ from biortho import (
     NumericError,
     QuadratureRule,
     SingularMatrixError,
-    bessel_i,
     det,
     elem_sym,
     gauss_laguerre,
@@ -23,14 +22,10 @@ from biortho import (
     laguerre,
     log_gamma,
     max_gram_size,
-    partial_fraction_weights,
     solve,
     vandermonde,
 )
-from biortho.numerics import (
-    divided_difference,
-    laguerre_coeffs,
-)
+from biortho.numerics import laguerre_coeffs
 
 # Frozen oracle values (computed independently during the build and pinned).
 HYP0F1_ORACLE = {
@@ -47,11 +42,6 @@ LAGUERRE_ORACLE = {
     (3, 1.0, 2.5): -1.1041666666666665,
     (5, 0.5, 4.0): 0.24661458333333311,
     (8, 2.0, 1.5): -3.118225969587054,
-}
-BESSEL_I_ORACLE = {
-    (0.0, 1.0): 1.2660658777520084,
-    (1.0, 2.5): 2.5167162452887006,
-    (0.5, 4.0): 10.887101798588422,
 }
 
 
@@ -128,16 +118,6 @@ class TestHyp0f1:
             hyp0f1(-2.0, 1.0)
 
 
-class TestBesselI:
-    def test_frozen_values(self):
-        for (alpha, z), ref in BESSEL_I_ORACLE.items():
-            assert bessel_i(alpha, z) == pytest.approx(ref, rel=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            bessel_i(0.0, -1.0)
-
-
 def test_log_gamma():
     assert log_gamma(1.0) == 0.0
     assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-15)
@@ -176,55 +156,6 @@ class TestVandermonde:
     def test_small_cases(self):
         assert vandermonde([2.0]) == 1.0
         assert vandermonde([1.0, 3.0]) == 2.0
-
-
-class TestPartialFractionWeights:
-    def test_identity_value(self):
-        x = [0.5, 1.5, 3.0]
-        z = 2.0 + 1.0j
-        val = partial_fraction_weights(z, x)
-        assert val == pytest.approx(1.0 / np.prod([z - xi for xi in x]), rel=1e-12)
-
-    def test_coincident_nodes_rejected(self):
-        with pytest.raises(DomainError):
-            partial_fraction_weights(1.0j, [1.0, 1.0 + 1e-12])
-
-    def test_z_on_node_rejected(self):
-        with pytest.raises(DomainError):
-            partial_fraction_weights(1.0, [1.0, 2.0])
-
-    @given(
-        st.lists(
-            st.floats(-4, 4), min_size=1, max_size=5, unique_by=lambda v: round(v, 2)
-        )
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_identity_random_nodes(self, x):
-        x = [round(v, 2) for v in x]
-        if len(x) > 1 and min(
-            abs(a - b) for i, a in enumerate(x) for b in x[i + 1 :]
-        ) < 1e-3:
-            return
-        z = 7.0 + 2.0j  # safely away from all nodes
-        val = partial_fraction_weights(z, x)
-        assert np.isfinite(val.real) and np.isfinite(val.imag)
-
-
-class TestDividedDifference:
-    def test_polynomial_exact(self):
-        # f(x) = x^3: dd over 4 nodes is the leading coefficient, 1
-        nodes = [0.0, 1.0, 2.5, 4.0]
-        vals = [x**3 for x in nodes]
-        assert divided_difference(vals, nodes) == pytest.approx(1.0, rel=1e-12)
-
-    def test_exponential(self):
-        nodes = np.array([0.0, 0.5, 1.0])
-        vals = np.exp(nodes)
-        # f[x0,x1,x2] for e^x, exact value via the integral mean: ~ e^{mean}/2!
-        direct = (
-            (math.e - 2 * math.exp(0.5) + 1) / 0.5
-        )  # triangular recurrence by hand
-        assert divided_difference(vals, nodes) == pytest.approx(direct, rel=1e-12)
 
 
 class TestLinearAlgebra:
