@@ -44,15 +44,14 @@ from numpy.typing import NDArray
 from scipy.special import ndtri
 
 from .chgue import ChgueParams, chgue_kernel, staircase_functions
-from .ensembles import HalfLine, Segment, op_from_weight
+from .ensembles import Segment, op_from_weight
 from .errors import (
-    CapacityError,
     ConvergenceError,
     DomainError,
     NumericWarning,
     UnsupportedModelError,
 )
-from .numerics import gauss_laguerre, gauss_legendre, max_gram_size
+from .numerics import check_gram_size, gauss_legendre
 
 __all__ = [
     "AvgEstimate",
@@ -419,9 +418,7 @@ class RatioOracle:
     """
 
     def __init__(self, m: SourceModel, y: float):
-        cap = max_gram_size()
-        if m.n > cap:
-            raise CapacityError(f"quadrature oracle supports N <= {cap}, got N = {m.n}")
+        check_gram_size(m.n, "quadrature oracle")
         self.model = m
         self.y = y
         if m.kind == "chiral":
@@ -544,34 +541,23 @@ class Rho1Report:
 
 
 def _kernel_diagonal_reference(m: SourceModel) -> Callable:
-    """rho_1(x) = K_N(x, x) for the supported reference cases."""
+    """rho_1(x) = K_N(x, x) for the supported reference cases: every chiral
+    model (the staircase kernel) and the Hermitian model at A = 0."""
     if m.kind == "chiral":
-        if all(v == 0 for v in m.a):
-            alpha = float(m.alpha)
-            sys = op_from_weight(
-                lambda t: t**alpha * np.exp(-t),
-                HalfLine(),
-                m.n,
-                quad=gauss_laguerre(64, alpha),
-            )
-            w = lambda t: t**alpha * np.exp(-t)
-        else:
-            p = ChgueParams(float(m.alpha), m.a)
-            return lambda xs: chgue_kernel(p, xs, xs)
-    else:
-        if any(v != 0 for v in m.a):
-            raise DomainError(
-                "rho1 reference for the Hermitian model is only available at A = 0"
-            )
-        sys = op_from_weight(lambda t: np.exp(-t * t), Segment(-7.5, 7.5), m.n)
-        w = lambda t: np.exp(-t * t)
+        p = ChgueParams(float(m.alpha), m.a)
+        return lambda xs: chgue_kernel(p, xs, xs)
+    if any(v != 0 for v in m.a):
+        raise DomainError(
+            "rho1 reference for the Hermitian model is only available at A = 0"
+        )
+    sys = op_from_weight(lambda t: np.exp(-t * t), Segment(-7.5, 7.5), m.n)
 
     def rho(xs):
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         total = np.zeros_like(xs)
         for k in range(m.n):
             total += sys.eval(k, xs) ** 2 / sys.norms[k]
-        return w(xs) * total
+        return np.exp(-xs * xs) * total
 
     return rho
 

@@ -39,19 +39,18 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import expm
-from scipy.special import poch
 
 from .ensembles import EnsembleSpec, HalfLine
-from .errors import CapacityError, ConfluentError, ConvergenceError, DomainError
+from .errors import ConfluentError, ConvergenceError, DomainError
 from .multipoly import Composition, TypeIIPolynomial, WeightSystem, xi_family
 from .numerics import (
+    check_gram_size,
     elem_sym,
     gauss_laguerre,
     hyp0f1,
     laguerre,
     laguerre_coeffs,
     log_gamma,
-    max_gram_size,
     vandermonde,
 )
 
@@ -97,12 +96,7 @@ class ChgueParams:
             raise DomainError("ChgueParams needs at least one source parameter")
         if any(v < 0 for v in self.a):
             raise DomainError(f"source parameters must be >= 0, got {self.a}")
-        cap = max_gram_size()
-        if len(self.a) > cap:
-            raise CapacityError(
-                f"N = {len(self.a)} exceeds the N <= {cap} guard "
-                f"(set BIORTHO_MAX_N to override)"
-            )
+        check_gram_size(len(self.a), "ChgueParams")
 
     @property
     def n(self) -> int:
@@ -148,12 +142,14 @@ def ensemble_spec(p: ChgueParams, n_quad: int = 64) -> EnsembleSpec:
 
 
 def confluent_spec(c: ConfluentSpec, alpha: float) -> EnsembleSpec:
-    r"""The coalesced-source ensemble as a generic biorthogonal spec:
-    monomial $\eta_i = x^{i-1}$, and the $\xi$ family
+    r"""The coalesced-source ensemble as a generic biorthogonal spec, the
+    independent reference for the staircase at coincident sources: the
+    $\eta$ family of :func:`scaled_laguerre_eta` (the same span as the
+    monomials, far better conditioned), and the $\xi$ family
     $x^j w^{(i)}(x)$ of the :func:`confluent_weights` system."""
     ws, comp = confluent_weights(c, alpha)
     n = comp.weight
-    eta = tuple((lambda x, i=i: np.asarray(x, dtype=float) ** i) for i in range(n))
+    eta = tuple(scaled_laguerre_eta(alpha, k) for k in range(1, n + 1))
     xi = tuple(xi_family(ws, comp))
     return EnsembleSpec(n=n, interval=HalfLine(), eta=eta, xi=xi, quad=ws.quad)
 
@@ -227,13 +223,15 @@ def _dd_column(alpha: float, a: NDArray, y: NDArray) -> NDArray:
     term = np.zeros((n,) + y.shape)
     term[0] = 1.0
     total = term.copy()
-    for k in range(_SERIES_MAX_TERMS):
-        if np.all(term <= _SERIES_RTOL * total):  # all terms are >= 0
-            break
-        jt = diag * term
-        jt[1:] += term[:-1]
-        term = jt * (y / ((alpha + 1 + k) * (k + 1)))
-        total += term
+    # an overflowing series ends in inf/nan, which the check below reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(_SERIES_MAX_TERMS):
+            if np.all(term <= _SERIES_RTOL * total):  # all terms are >= 0
+                break
+            jt = diag * term
+            jt[1:] += term[:-1]
+            term = jt * (y / ((alpha + 1 + k) * (k + 1)))
+            total += term
     if not (np.all(np.isfinite(total)) and np.all(term <= _SERIES_RTOL * total)):
         raise ConvergenceError(
             f"0F1 matrix series did not converge to a finite value in "
@@ -403,6 +401,11 @@ class ConfluentSpec:
         if any(mi < 1 for mi in self.m.parts):
             raise DomainError(f"multiplicities must be >= 1, got {self.m.parts}")
 
+    @property
+    def sources(self) -> tuple[float, ...]:
+        """The N source parameters: each target b_k repeated m_k times."""
+        return tuple(bk for bk, mk in zip(self.b, self.m.parts) for _ in range(mk))
+
 
 def confluent_weights(c: ConfluentSpec, alpha: float) -> tuple[WeightSystem, Composition]:
     r"""Weight system of the coalesced ensemble.
@@ -451,71 +454,33 @@ def laguerre_cd_kernel(alpha: float, n: int, x: float, y: float) -> float:
     return pref * (lx1 * ly - lx * ly1) / (x - y)
 
 
-def _series_inverse(poly: NDArray, terms: int) -> NDArray:
-    """Power-series inverse of a polynomial with nonzero constant term."""
-    inv = np.zeros(terms)
-    inv[0] = 1.0 / poly[0]
-    for m in range(1, terms):
-        acc = 0.0
-        for j in range(1, min(m, poly.size - 1) + 1):
-            acc += poly[j] * inv[m - j]
-        inv[m] = -acc / poly[0]
-    return inv
-
-
 def rank_decomposition(
     p: ChgueParams, r: int, x: float, y: float
 ) -> tuple[float, float, float]:
     r"""Kernel of a rank-$r$ source, $a = (a_1,\dots,a_r,0,\dots,0)$ with
     $a_1 > \dots > a_r > 0$, split as
 
-    $$ K_N(x,y) = \bar K_{N-r}(x,y) + \sum_{k=1}^r p_k(x)\, q_k(y), $$
+    $$ K_N(x,y) = \bar K_{N-r}(x,y) + \sum_{k=1}^r p_k(x)\, q_k(y). $$
 
-    where $p_k(x) = \sum_m c_m\, m!\, L^\alpha_m(x)$ with
-    $\sum_m c_m u^m = u^{N-r} \prod_{i<k}(u + a_i)$, and $q_k$ is the sum of
-    the residues of $e^v\,_0F_1(\alpha+1; -xv)\,/\,(v^{N-r}\prod_{i\le k}(v+a_i))$
-    over the poles $\{-a_1,\dots,-a_k\}$ *and* the order-$(N-r)$ pole at
-    $v = 0$, times $x^\alpha e^{-x}/\Gamma(\alpha+1)$.  Returns
+    Both parts are terms of one staircase sum (:func:`staircase_functions`)
+    over the sources in the order $(0,\dots,0, a_1,\dots,a_r)$: its first
+    $N - r$ terms are the source-free (Laguerre) kernel $\bar K_{N-r}$, and
+    its last $r$ terms are $p_k = P_{N-r+k-1}$, the monic type II polynomial
+    on $(0^{N-r}, a_1..a_{k-1})$, times $q_k = Q_{N-r+k}$, the type I
+    function on $(0^{N-r}, a_1..a_k)$.  Returns
     ``(full, unperturbed, correction)`` with ``full = unperturbed + correction``.
     """
     n = p.n
     if not 0 <= r < n:
         raise DomainError(f"rank must satisfy 0 <= r < N, got r={r}, N={n}")
     head = np.asarray(p.a[:r], dtype=float)
-    tail = np.asarray(p.a[r:], dtype=float)
-    if np.any(tail != 0.0):
+    if any(v != 0.0 for v in p.a[r:]):
         raise DomainError(f"expected a = (a_1..a_r, 0..0), got {p.a}")
     if r > 0 and (np.any(head <= 0) or np.any(np.diff(head) >= 0)):
         raise DomainError(f"need a_1 > ... > a_r > 0, got {p.a[:r]}")
-    alpha = p.alpha
-    unperturbed = laguerre_cd_kernel(alpha, n - r, x, y)
-    correction = 0.0
-    order = n - r
-    for k in range(1, r + 1):
-        # p_k: expand u^{N-r} prod_{i<k}(u+a_i), turn each power into m! L^alpha_m
-        e = elem_sym(head[: k - 1])
-        poly_c = np.zeros(order + k)  # ascending in u
-        poly_c[order : order + k] = e[::-1]
-        p_val = 0.0
-        for m_deg in range(order, order + k):
-            p_val += poly_c[m_deg] * math.factorial(m_deg) * laguerre(m_deg, alpha, x)
-        # q_k: residues at -a_1..-a_k
-        q_val = 0.0
-        for i in range(k):
-            ai = head[i]
-            others = np.delete(head[:k], i)
-            denom = (-ai) ** order * float(np.prod(others - ai)) if others.size else (-ai) ** order
-            q_val += math.exp(-ai) * float(hyp0f1(alpha + 1, ai * y)) / denom
-        # residue of order N-r at v = 0: coefficient of v^{order-1} in
-        # e^v 0F1(alpha+1; -yv) / prod_{i<=k}(v + a_i)
-        j = np.arange(order)
-        fact = np.array([math.factorial(v) for v in j], dtype=float)
-        ef = np.convolve(1.0 / fact, (-y) ** j / (poch(alpha + 1, j) * fact))[:order]
-        prod_c = elem_sym(head[:k])[::-1]  # ascending coeffs of prod(v+a_i)
-        inv_c = _series_inverse(prod_c, order)
-        q_val += float(np.convolve(ef, inv_c)[order - 1])
-        q_val *= math.exp(alpha * math.log(y) - y - log_gamma(alpha + 1)) if y > 0 else (
-            math.exp(-y - log_gamma(alpha + 1)) if alpha == 0 else 0.0
-        )
-        correction += p_val * q_val
+    zero_first = ChgueParams(p.alpha, p.a[r:] + p.a[:r])
+    poly, q = staircase_functions(zero_first, x, y)
+    terms = poly * q
+    unperturbed = float(np.sum(terms[: n - r]))
+    correction = float(np.sum(terms[n - r :]))
     return unperturbed + correction, unperturbed, correction

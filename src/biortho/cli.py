@@ -3,7 +3,8 @@
 Subcommands: ``kernel``, ``poly``, ``corr``, ``sample``, ``verify``.
 Ensembles: ``chgue`` (``--alpha``, ``--a``), ``laguerre``/``hermite``
 (``--alpha``, ``--n`` orthogonal-polynomial ensembles), and ``confluent``
-(``--b`` coalescence targets with ``--mult`` multiplicities).
+(``--b`` coalescence targets with ``--mult`` multiplicities), which is the
+chgue ensemble at the repeated sources and shares its closed forms.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numeric
 error.  Output as CSV (17 significant digits) or JSON
@@ -30,7 +31,6 @@ from .chgue import (
     chgue_type_one,
     chgue_type_two,
     confluent_spec,
-    confluent_weights,
     ensemble_spec,
     kernel_sum_check,
     rank_decomposition,
@@ -38,16 +38,9 @@ from .chgue import (
     w_alpha,
 )
 from .charpoly import SourceModel, charpoly_estimate, rho1_report, sample_spectra
-from .ensembles import (
-    HalfLine,
-    Segment,
-    build_kernel,
-    correlation,
-    kernel_eval,
-    op_from_weight,
-)
+from .ensembles import HalfLine, Segment, build_kernel, kernel_eval, op_from_weight
 from .errors import DomainError, NumericError
-from .multipoly import Composition, check_ortho_one, type_one, type_two
+from .multipoly import Composition
 from .numerics import gauss_laguerre
 
 EXIT_OK = 0
@@ -164,6 +157,14 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _chgue_params(args) -> ChgueParams:
+    """The sources of the chgue ensemble, or of the confluent one with each
+    ``--b`` target repeated ``--mult`` times."""
+    if args.ensemble == "confluent":
+        if not args.b or not args.mult:
+            raise DomainError("--b and --mult are required for the confluent ensemble")
+        mult = tuple(_number(v, int) for v in args.mult.split(","))
+        spec = ConfluentSpec(b=tuple(_parse_floats(args.b)), m=Composition(mult))
+        return ChgueParams(args.alpha, spec.sources)
     if not args.a:
         raise DomainError("--a is required for the chgue ensemble")
     return ChgueParams(args.alpha, tuple(_parse_floats(args.a)))
@@ -179,23 +180,13 @@ def _op_system(args):
     return op_from_weight(w, Segment(-7.5, 7.5), n), w, n
 
 
-def _confluent_params(args) -> ConfluentSpec:
-    if not args.b or not args.mult:
-        raise DomainError("--b and --mult are required for the confluent ensemble")
-    b = tuple(_parse_floats(args.b))
-    mult = tuple(_number(v, int) for v in args.mult.split(","))
-    return ConfluentSpec(b=b, m=Composition(mult))
-
-
-def _kernel_function(args) -> Callable:
-    """K_N(x, y) of the selected ensemble, broadcasting over x and y."""
-    if args.ensemble == "chgue":
-        return functools.partial(chgue_kernel, _chgue_params(args))
-    if args.ensemble == "confluent":
-        kd = build_kernel(confluent_spec(_confluent_params(args), args.alpha))
-        return functools.partial(kernel_eval, kd)
+def _kernel_function(args) -> tuple[int, Callable]:
+    """N and K_N(x, y) of the selected ensemble, broadcasting over x and y."""
+    if args.ensemble in ("chgue", "confluent"):
+        params = _chgue_params(args)
+        return params.n, functools.partial(chgue_kernel, params)
     sys_, w, n = _op_system(args)
-    return lambda x, y: w(y) * sum(
+    return n, lambda x, y: w(y) * sum(
         sys_.eval(k, x) * sys_.eval(k, y) / sys_.norms[k] for k in range(n)
     )
 
@@ -247,7 +238,8 @@ def _params_dict(args) -> dict:
 def _cmd_kernel(args) -> int:
     grid = _parse_grid(args.grid)
     xs, ys = grid[:, None], grid[None, :]
-    values = _kernel_function(args)(xs, ys)
+    _, kernel = _kernel_function(args)
+    values = kernel(xs, ys)
     gx, gy = np.meshgrid(grid, grid, indexing="ij")
     rows = np.column_stack([gx.ravel(), gy.ravel(), values.ravel()]).tolist()
     extra = None
@@ -265,7 +257,7 @@ def _cmd_kernel(args) -> int:
 def _cmd_poly(args) -> int:
     grid = _parse_grid(args.grid)
     selftest = None
-    if args.ensemble == "chgue":
+    if args.ensemble in ("chgue", "confluent"):
         params = _chgue_params(args)
         if args.kind == "II":
             f = chgue_type_two(params)
@@ -274,14 +266,6 @@ def _cmd_poly(args) -> int:
             rule = gauss_laguerre(64, params.alpha)
             m = float(np.dot(rule.dx_weights, rule.nodes ** (params.n - 1) * f(rule.nodes)))
             selftest = m
-    elif args.ensemble == "confluent":
-        ws, comp = confluent_weights(_confluent_params(args), args.alpha)
-        if args.kind == "II":
-            f = type_two(ws, comp)
-        else:
-            f = type_one(ws, comp)
-            res = check_ortho_one(f)
-            selftest = float(res[-1])
     else:
         sys_, w, n = _op_system(args)
         if args.kind == "II":
@@ -303,13 +287,11 @@ def _cmd_poly(args) -> int:
 
 def _cmd_corr(args) -> int:
     points = _parse_floats(args.points)
-    if args.ensemble == "chgue":
-        spec = ensemble_spec(_chgue_params(args))
-    elif args.ensemble == "confluent":
-        spec = confluent_spec(_confluent_params(args), args.alpha)
-    else:
-        raise DomainError("corr supports the chgue and confluent ensembles")
-    value = correlation(build_kernel(spec), points)
+    n, kernel = _kernel_function(args)
+    if len(points) > n:
+        raise DomainError(f"correlation order {len(points)} exceeds ensemble size {n}")
+    p = np.asarray(points)
+    value = float(np.linalg.det(kernel(p[:, None], p[None, :])))
     _emit(args, [*(f"x{i+1}" for i in range(len(points))), "rho"],
           [(*points, value)], _params_dict(args))
     return EXIT_OK

@@ -29,9 +29,9 @@ from numpy.typing import ArrayLike, NDArray
 from .errors import CapacityError, DomainError, NumericError, SingularMatrixError
 from .numerics import (
     QuadratureRule,
+    check_gram_size,
     gauss_laguerre,
     gauss_legendre,
-    max_gram_size,
     solve,
 )
 
@@ -117,13 +117,7 @@ class EnsembleSpec:
         self.xi = tuple(self.xi)
         if self.n < 1:
             raise DomainError(f"EnsembleSpec requires n >= 1, got {self.n}")
-        cap = max_gram_size()
-        if self.n > cap:
-            raise CapacityError(
-                f"EnsembleSpec size {self.n} exceeds the N <= {cap} guard "
-                f"(monomial Gram matrices become ill-conditioned; raise "
-                f"BIORTHO_MAX_N to override, accuracy contracts void)"
-            )
+        check_gram_size(self.n, "EnsembleSpec")
         if len(self.eta) != self.n or len(self.xi) != self.n:
             raise DomainError(
                 f"eta and xi must each have exactly {self.n} members, "

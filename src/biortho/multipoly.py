@@ -27,8 +27,8 @@ from numpy.polynomial import polynomial as npoly
 from numpy.typing import NDArray
 
 from .ensembles import Interval
-from .errors import CapacityError, DomainError, NumericError, NumericWarning
-from .numerics import QuadratureRule, max_gram_size, solve
+from .errors import DomainError, NumericError, NumericWarning
+from .numerics import QuadratureRule, check_gram_size, solve
 
 __all__ = [
     "Composition",
@@ -189,15 +189,6 @@ class TypeIIPolynomial:
         return float(out) if x.ndim == 0 else out
 
 
-def _check_size(n: int) -> None:
-    cap = max_gram_size()
-    if n > cap:
-        raise CapacityError(
-            f"composition weight {n} exceeds the N <= {cap} guard "
-            f"(set BIORTHO_MAX_N to override)"
-        )
-
-
 def type_one(ws: WeightSystem, comp: Composition) -> TypeIFunction:
     r"""Type I function from the $N \times N$ moment system
     $\int x^j Q = \delta_{j, N-1}$, $j = 0..N-1$ (unique when the system is
@@ -205,7 +196,7 @@ def type_one(ws: WeightSystem, comp: Composition) -> TypeIFunction:
     n = comp.weight
     if n < 1:
         raise DomainError("type_one requires |n| >= 1")
-    _check_size(n)
+    check_gram_size(n, "type_one composition weight")
     m = _moment_matrix(ws, comp, n)
     _guard_condition(m, "type_one")
     rhs = np.zeros(n)
@@ -224,7 +215,7 @@ def type_two(ws: WeightSystem, comp: Composition) -> TypeIIPolynomial:
     $\int w^{(i)} x^j P = 0$, $j = 0..n_i-1$ for every block (N conditions
     on the N non-leading coefficients)."""
     n = comp.weight
-    _check_size(n)
+    check_gram_size(n, "type_two composition weight")
     if comp.d != ws.d:
         raise DomainError(
             f"composition has {comp.d} parts but weight system has {ws.d} weights"

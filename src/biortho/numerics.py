@@ -56,6 +56,7 @@ __all__ = [
     "gauss_laguerre",
     "integrate_nd",
     "max_gram_size",
+    "check_gram_size",
 ]
 
 _DEFAULT_MAX_N = 12
@@ -73,6 +74,17 @@ def max_gram_size() -> int:
     if value < 1:
         raise DomainError(f"BIORTHO_MAX_N must be positive, got {value}")
     return value
+
+
+def check_gram_size(n: int, what: str) -> None:
+    """Raises :class:`CapacityError` when the size ``n`` of ``what`` exceeds
+    :func:`max_gram_size`."""
+    cap = max_gram_size()
+    if n > cap:
+        raise CapacityError(
+            f"{what}: N = {n} exceeds the N <= {cap} guard "
+            f"(set BIORTHO_MAX_N to override; accuracy contracts void)"
+        )
 
 
 # ---------------------------------------------------------------------------

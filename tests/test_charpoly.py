@@ -9,6 +9,7 @@ from scipy.special import exp1
 from biortho import (
     ChgueParams,
     DomainError,
+    HalfLine,
     NumericWarning,
     RatioOracle,
     Segment,
@@ -21,6 +22,7 @@ from biortho import (
     chgue_type_one,
     chgue_type_two,
     ensemble_spec,
+    gauss_laguerre,
     kernel_eval,
     kernel_from_ratio,
     op_from_weight,
@@ -366,6 +368,17 @@ class TestRho1Check:
         assert report.fraction_within >= 0.95
         assert report.edges.size == 41
         assert report.density.size == 40
+
+    def test_chiral_zero_source_reference(self):
+        # with A = 0 the reference is the Laguerre Christoffel sum
+        alpha = 1.0
+        w = lambda t: t**alpha * np.exp(-t)
+        sys_ = op_from_weight(w, HalfLine(), 3, quad=gauss_laguerre(64, alpha))
+        m = SourceModel("chiral", 3, (0.0, 0.0, 0.0), alpha=1)
+        report = rho1_report(m, sample_spectra(m, seed=0, count=100), bins=24)
+        x = 0.5 * (report.edges[:-1] + report.edges[1:])
+        ref = w(x) * sum(sys_.eval(k, x) ** 2 / sys_.norms[k] for k in range(3))
+        assert np.max(np.abs(report.reference - ref)) <= 1e-12 * np.max(ref)
 
     def test_hermitian_reference(self):
         m = SourceModel("hermitian", 2, (0.0, 0.0))

@@ -1,5 +1,6 @@
 """Chiral-GUE-with-source closed forms against the generic machinery."""
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -221,6 +222,14 @@ class TestTypeFunctions:
         monkeypatch.setattr(chgue, "_SERIES_MAX_TERMS", 5)
         with pytest.raises(ConvergenceError):
             chgue_type_one(ChgueParams(0.0, (1.0,)))(10.0)
+
+    def test_series_overflow_is_silent(self):
+        # the overflow is reported by the ConvergenceError alone, with no
+        # RuntimeWarning from numpy before it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError):
+                chgue_type_one(ChgueParams(0.0, (1e4, 0.0)))(1e4)
 
     def test_type_one_against_mpmath(self):
         # clustered pairs (and a clustered triple) inside a wide spread, down
@@ -463,6 +472,18 @@ class TestRankDecomposition:
                     assert full == pytest.approx(unpert + corr, rel=1e-14)
                     ref = kernel_eval(kd, float(x), float(y))
                     assert full == pytest.approx(ref, rel=1e-8, abs=1e-12)
+
+    def test_unperturbed_is_laguerre_kernel(self):
+        # the first N - r staircase terms against the Christoffel-Darboux form
+        rng = np.random.default_rng(7)
+        for a in ((0.9, 0.0, 0.0), (1.2, 0.5, 0.0, 0.0), (2.0, 1.1, 0.4, 0.0, 0.0, 0.0)):
+            r = sum(v > 0 for v in a)
+            for alpha in (0.0, 1.0, 2.5):
+                p = ChgueParams(alpha, a)
+                for x, y in rng.uniform(0.1, 12.0, size=(4, 2)):
+                    _, unpert, _ = rank_decomposition(p, r, float(x), float(y))
+                    ref = laguerre_cd_kernel(alpha, len(a) - r, float(x), float(y))
+                    assert unpert == pytest.approx(ref, rel=1e-11)
 
     def test_rank_zero(self):
         # r = 0 is the pure Laguerre kernel, no correction

@@ -201,6 +201,38 @@ class TestCorrAndSample:
         assert header == "x1,x2,rho"
         assert float(row.split(",")[2]) > 0
 
+    def test_corr_coincident_sources(self, capsys):
+        # coincident sources: the staircase kernel against the generic Gram
+        # kernel of the confluent ensemble
+        points = np.array([0.5, 1.5, 3.0])
+        code, out, _ = run(
+            capsys,
+            "corr", "--ensemble", "chgue", "--alpha", "1", "--a", "1.0,1.0,0.3",
+            "--points", "0.5,1.5,3.0",
+        )
+        assert code == EXIT_OK
+        kd = build_kernel(confluent_spec(ConfluentSpec((1.0, 0.3), Composition((2, 1))), 1.0))
+        ref = np.linalg.det(kernel_eval(kd, points[:, None], points[None, :]))
+        assert table(out)[0, -1] == pytest.approx(ref, rel=1e-9)
+
+    def test_corr_hermite(self, capsys):
+        points = [-0.7, 0.2, 1.1]
+        code, out, _ = run(
+            capsys, "corr", "--ensemble", "hermite", "--n", "4", "--points=-0.7,0.2,1.1",
+        )
+        assert code == EXIT_OK
+        w = lambda t: np.exp(-t * t)
+        sys_ = op_from_weight(w, Segment(-7.5, 7.5), 4)
+        ref = np.linalg.det([[cd_kernel(sys_, w, 4, x, y) for y in points] for x in points])
+        assert table(out)[0, -1] == pytest.approx(ref, rel=1e-9)
+
+    def test_corr_order_exceeds_size(self, capsys):
+        code, _, err = run(
+            capsys, "corr", "--ensemble", "chgue", "--a", "1.0,0.4", "--points", "0.5,1,2",
+        )
+        assert code == EXIT_USAGE
+        assert "exceeds ensemble size" in err
+
     def test_sample_deterministic(self, capsys):
         args = (
             "sample", "--ensemble", "chgue", "--alpha", "1",
@@ -345,11 +377,10 @@ class TestErrorsAndConfig:
         assert code == EXIT_USAGE
 
     def test_numeric_error_exit_code(self, capsys):
-        # coincident sources make the quadrature Gram singular -> numeric
+        # the 0F1 matrix series overflows at a y = 6e6 -> ConvergenceError
         code, _, err = run(
             capsys,
-            "corr", "--ensemble", "chgue", "--a", "1.0,1.0",
-            "--points", "0.5,1.5",
+            "kernel", "--ensemble", "chgue", "--a", "2000", "--grid", "0:3000:2",
         )
         assert code == EXIT_NUMERIC
         assert "numeric error" in err
