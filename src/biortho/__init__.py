@@ -32,6 +32,7 @@ from .chgue import (
     kernel_sum_check,
     laguerre_cd_kernel,
     rank_decomposition,
+    reference_spec,
     residue_kernel,
     scaled_laguerre_eta,
     staircase_functions,

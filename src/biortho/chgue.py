@@ -42,14 +42,12 @@ from scipy.linalg import expm
 
 from .ensembles import EnsembleSpec, HalfLine
 from .errors import ConfluentError, ConvergenceError, DomainError
-from .multipoly import Composition, TypeIIPolynomial, WeightSystem, xi_family
+from .multipoly import Composition, WeightSystem, xi_family
 from .numerics import (
     check_gram_size,
-    elem_sym,
     gauss_laguerre,
     hyp0f1,
     laguerre,
-    laguerre_coeffs,
     log_gamma,
     vandermonde,
 )
@@ -61,6 +59,7 @@ __all__ = [
     "scaled_laguerre_eta",
     "ensemble_spec",
     "confluent_spec",
+    "reference_spec",
     "chgue_pdf",
     "chgue_gram",
     "chgue_kernel",
@@ -152,6 +151,17 @@ def confluent_spec(c: ConfluentSpec, alpha: float) -> EnsembleSpec:
     eta = tuple(scaled_laguerre_eta(alpha, k) for k in range(1, n + 1))
     xi = tuple(xi_family(ws, comp))
     return EnsembleSpec(n=n, interval=HalfLine(), eta=eta, xi=xi, quad=ws.quad)
+
+
+def reference_spec(p: ChgueParams) -> EnsembleSpec:
+    """The generic spec the closed forms are checked against:
+    :func:`confluent_spec` when some sources repeat exactly (their
+    :func:`ensemble_spec` columns would repeat too), else :func:`ensemble_spec`."""
+    targets = sorted(set(p.a), reverse=True)
+    if len(targets) == p.n:
+        return ensemble_spec(p)
+    mult = Composition(tuple(p.a.count(b) for b in targets))
+    return confluent_spec(ConfluentSpec(b=tuple(targets), m=mult), p.alpha)
 
 
 def chgue_gram(p: ChgueParams) -> NDArray[np.float64]:
@@ -260,18 +270,39 @@ def chgue_type_one(p: ChgueParams) -> Callable:
     return q
 
 
-def chgue_type_two(p: ChgueParams) -> TypeIIPolynomial:
+def _type_two_family(alpha: float, a: NDArray, x: NDArray) -> NDArray:
+    r"""$P_0, \dots, P_N$ at ``x``, shape ``(N + 1,) + x.shape``: $P_k(x) =
+    (-1)^k \sum_m e_{k-m}(a_1..a_k)\, m!\, L^\alpha_m(x)$ is the monic type II
+    polynomial on the first $k$ sources.  One recurrence run gives every
+    $m!\, L^\alpha_m$; no monomial coefficients (which cancel) are formed."""
+    n = a.size
+    lag = np.empty((n + 1,) + x.shape)
+    lag[0] = 1.0
+    if n:
+        lag[1] = alpha + 1.0 - x
+    for m in range(1, n):
+        lag[m + 1] = (2 * m + alpha + 1 - x) * lag[m] - m * (m + alpha) * lag[m - 1]
+    # coef[k, m] = (-1)^k e_{k-m}(a_1..a_k), adding one source per row
+    coef = np.zeros((n + 1, n + 1))
+    coef[0, 0] = 1.0
+    for k in range(1, n + 1):
+        coef[k, 1:] = -coef[k - 1, :-1]
+        coef[k] -= a[k - 1] * coef[k - 1]
+    return np.tensordot(coef, lag, axes=1)
+
+
+def chgue_type_two(p: ChgueParams) -> Callable:
     r"""The monic type II polynomial
-    $P(x) = (-1)^N \sum_{n=0}^N n!\, e_{N-n}(a)\, L^\alpha_n(x)$,
-    valid for arbitrary (including coincident) source parameters."""
-    n = p.n
-    e = elem_sym(p.a)
-    coeffs = np.zeros(n + 1)
-    for deg in range(n + 1):
-        lc = laguerre_coeffs(deg, p.alpha)
-        coeffs[: deg + 1] += math.factorial(deg) * e[n - deg] * lc
-    coeffs *= (-1.0) ** n
-    return TypeIIPolynomial(composition=Composition((n,)), coeffs=coeffs)
+    $P(x) = (-1)^N \sum_{n=0}^N n!\, e_{N-n}(a)\, L^\alpha_n(x)$ for any
+    (coincident included) sources, as a vectorized evaluator; a scalar ``x``
+    gives a float."""
+    a = np.asarray(p.a, dtype=float)
+
+    def poly(x):
+        out = _type_two_family(p.alpha, a, np.asarray(x, dtype=float))[-1]
+        return float(out) if out.ndim == 0 else out
+
+    return poly
 
 
 # ---------------------------------------------------------------------------
@@ -283,20 +314,14 @@ def staircase_functions(p: ChgueParams, x, y) -> tuple[NDArray, NDArray]:
     $Q_1, \dots, Q_N$ at ``y``, as arrays of shape ``(N,) + x.shape`` and
     ``(N,) + y.shape``.
 
-    $P_k$ is the monic type II polynomial on $(a_1..a_k)$ (the
-    elementary-symmetric form of :func:`chgue_type_two`, $P_0 = 1$) and
+    $P_k$ is the monic type II polynomial on $(a_1..a_k)$ ($P_0 = 1$) and
     $Q_k$ the type I function on $(a_1..a_k)$; all $N$ of the $Q_k$ come
     from one Opitz column.  They satisfy $\int_0^\infty P_i Q_{j+1} =
     \delta_{ij}$ for any order of the sources, coincident ones included."""
     x = _arguments(x, "staircase_functions")
     y = _arguments(y, "staircase_functions")
     a = np.asarray(p.a, dtype=float)
-    lag = np.array([math.factorial(m) * laguerre(m, p.alpha, x) for m in range(p.n)])
-    # P_k(x) = (-1)^k sum_m m! e_{k-m}(a_1..a_k) L^alpha_m(x)
-    poly = np.array(
-        [(-1.0) ** k * np.tensordot(elem_sym(a[:k])[::-1], lag[: k + 1], axes=1)
-         for k in range(p.n)]
-    )
+    poly = _type_two_family(p.alpha, a[:-1], x)
     return poly, _weight_factor(p.alpha, y) * _dd_column(p.alpha, a, y)
 
 

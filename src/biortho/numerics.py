@@ -44,7 +44,6 @@ from .errors import (
 
 __all__ = [
     "laguerre",
-    "laguerre_coeffs",
     "hyp0f1",
     "log_gamma",
     "elem_sym",
@@ -111,31 +110,6 @@ def laguerre(n: int, alpha: float, x) -> NDArray[np.float64] | float:
     for k in range(1, n):
         prev, cur = cur, ((2 * k + alpha + 1 - x) * cur - (k + alpha) * prev) / (k + 1)
     return float(cur) if scalar else cur
-
-
-def laguerre_coeffs(n: int, alpha: float) -> NDArray[np.float64]:
-    r"""Monomial coefficients of $L_n^\alpha$, ascending degree (length n+1).
-
-    Built by the same recurrence as :func:`laguerre` applied to coefficient
-    vectors, so values and coefficients cannot drift apart.
-    """
-    if n < 0:
-        raise DomainError(f"laguerre degree must be nonnegative, got {n}")
-    if alpha <= -1:
-        raise DomainError(f"laguerre requires alpha > -1, got {alpha}")
-    prev = np.zeros(n + 1)
-    prev[0] = 1.0
-    if n == 0:
-        return prev
-    cur = np.zeros(n + 1)
-    cur[0] = alpha + 1.0
-    cur[1] = -1.0
-    for k in range(1, n):
-        nxt = (2 * k + alpha + 1) * cur - (k + alpha) * prev
-        nxt[1:] -= cur[:-1]  # the -x * cur term
-        nxt /= k + 1
-        prev, cur = cur, nxt
-    return cur
 
 
 _HYP0F1_RTOL = 1e-13
@@ -362,9 +336,12 @@ def _golub_welsch(diag: NDArray, offdiag: NDArray, mu0: float) -> tuple[NDArray,
     return nodes, np.maximum(weights, np.finfo(float).tiny)
 
 
+@functools.lru_cache(maxsize=64)
 def gauss_laguerre(n: int, alpha: float) -> QuadratureRule:
     r"""``n``-point generalized Gauss–Laguerre rule for
-    $\int_0^\infty f(x)\, x^\alpha e^{-x}\, dx$ (Golub–Welsch)."""
+    $\int_0^\infty f(x)\, x^\alpha e^{-x}\, dx$ (Golub–Welsch).  The rule
+    depends on ``(n, alpha)`` alone and its arrays are read-only, so each
+    rule is solved once per process and the same object is returned."""
     if n < 1:
         raise DomainError(f"gauss_laguerre requires n >= 1, got {n}")
     if alpha <= -1:

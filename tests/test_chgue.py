@@ -31,6 +31,7 @@ from biortho import (
     pdf_eval,
     rank_decomposition,
     residue_kernel,
+    staircase_functions,
     type_one,
     type_two,
     w_alpha,
@@ -63,6 +64,26 @@ def mp_type_one(alpha, a, x):
     x, alpha = mp.mpf(x), mp.mpf(alpha)
     f = lambda v: mp.exp(-v) * mp.hyp0f1(alpha + 1, x * v)
     return float(x**alpha * mp.exp(-x) / mp.gamma(alpha + 1) * mp_divided_difference(f, a))
+
+
+@mp.workdps(50)
+def mp_type_two(alpha, a, xs):
+    """(-1)^N sum_m e_{N-m}(a) m! L^alpha_m(x) at each x, in 50 digits, with
+    L^alpha_m from its explicit sum (no recurrence)."""
+    n = len(a)
+    e = [mp.mpf(1)] + [mp.mpf(0)] * n
+    for ai in a:
+        for j in range(n, 0, -1):
+            e[j] += mp.mpf(ai) * e[j - 1]
+
+    def lag(m, x):  # m! L^alpha_m(x)
+        return mp.fsum((-1) ** j * mp.factorial(m) / mp.factorial(j)
+                       * mp.binomial(m + alpha, m - j) * x**j for j in range(m + 1))
+
+    return np.array([
+        float((-1) ** n * mp.fsum(e[n - m] * lag(m, mp.mpf(x)) for m in range(n + 1)))
+        for x in xs
+    ])
 
 
 @mp.workdps(50)
@@ -247,6 +268,28 @@ class TestTypeFunctions:
                 q = chgue_type_one(ChgueParams(alpha, a))(y)
                 ref = np.array([mp_type_one(alpha, a, v) for v in y])
                 assert np.max(np.abs(q - ref)) <= 1e-11 * np.max(np.abs(ref)), (alpha, a)
+
+
+    @pytest.mark.parametrize("n", [9, 12])
+    def test_type_two_against_mpmath(self, n):
+        # normwise over x in [0, 30]; monomial coefficients lost 2.5e-13 at
+        # N = 9 and 1.9e-11 at N = 12 here
+        a = np.random.default_rng(n).uniform(0.05, 3.0, size=n)
+        x = np.linspace(0.0, 30.0, 31)
+        ref = mp_type_two(1.0, a, x)
+        got = chgue_type_two(ChgueParams(1.0, tuple(a)))(x)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert isinstance(chgue_type_two(ChgueParams(1.0, tuple(a)))(2.0), float)
+
+    def test_staircase_rows_against_mpmath(self):
+        # row k is the type II polynomial on the first k sources
+        n = 12
+        a = np.random.default_rng(n).uniform(0.05, 3.0, size=n)
+        x = np.linspace(0.0, 30.0, 31)
+        rows, _ = staircase_functions(ChgueParams(1.0, tuple(a)), x, 1.0)
+        for k in range(n):
+            ref = mp_type_two(1.0, a[:k], x)
+            assert np.max(np.abs(rows[k] - ref)) <= 1e-13 * np.max(np.abs(ref)), k
 
 
 class TestKernel:

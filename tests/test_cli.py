@@ -25,6 +25,7 @@ from biortho import (
     sample_spectra,
     type_one,
 )
+from biortho import cli
 from biortho.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
 
@@ -63,6 +64,15 @@ class TestKernelCommand:
         p = ChgueParams(1.0, (1.1, 0.4))
         x, y, k = (float(v) for v in lines[1].split(","))
         assert k == pytest.approx(chgue_kernel(p, x, y), rel=1e-12)
+
+    def test_cross_check_coincident_sources(self, capsys):
+        code, out, err = run(
+            capsys,
+            "kernel", "--a", "1,1", "--alpha", "1", "--grid", "0.5:4:3",
+            "--cross-check", "--format", "json",
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["metadata"]["cross_check_max_rel_dev"] < 1e-7
 
     def test_json_schema(self, capsys):
         code, out, _ = run(
@@ -262,6 +272,18 @@ class TestVerifySuites:
             "SUITE PASS",
         ]
 
+    @pytest.mark.parametrize("source_args", [
+        ("--a", "1,1"),
+        ("--ensemble", "confluent", "--b", "1.2,0.4", "--mult", "2,1"),
+    ])
+    @pytest.mark.parametrize("suite", ["kernel", "ortho"])
+    def test_suites_accept_coincident_sources(self, capsys, suite, source_args):
+        # the reference is the confluent spec; with the ensemble spec its
+        # repeated xi columns made the Gram matrix singular (exit 3)
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--alpha", "1", *source_args)
+        assert code == EXIT_OK, out
+        assert out.strip().splitlines()[-1] == "SUITE PASS"
+
     def test_ortho_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "ortho")
         assert code == EXIT_OK
@@ -330,6 +352,29 @@ class TestVerifySuites:
         )
         assert code == EXIT_USAGE
         assert "error" in err
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    @pytest.mark.parametrize("first, second", [
+        (("verify", "--suite", "gram"), ("verify", "--suite", "gram", "--a", "2.0,0.5")),
+        (("verify", "--suite", "gram", "--a", "2.0,0.5"), ("verify", "--suite", "gram")),
+        (("kernel", "--a", "1.1,0.4", "--grid", "0:2:3", "--cross-check"),
+         ("kernel", "--a", "0.9", "--alpha", "2", "--grid", "0:2:3")),
+        (("poly", "--kind", "I", "--a", "1.1,0.4"), ("corr", "--a", "1.1,0.4", "--points", "1")),
+        # the default sources of verify must not reach a later call (exit 2)
+        (("verify", "--suite", "gram"), ("kernel", "--grid", "0:2:3")),
+    ])
+    def test_calls_do_not_share_state(self, capsys, first, second):
+        # two calls on one parser print what each prints on a parser of its own
+        alone = []
+        for argv in (first, second):
+            cli._build_parser.cache_clear()
+            alone.append(run(capsys, *argv))
+        cli._build_parser.cache_clear()
+        assert [run(capsys, *first), run(capsys, *second)] == alone
 
 
 class TestErrorsAndConfig:

@@ -25,7 +25,6 @@ from biortho import (
     solve,
     vandermonde,
 )
-from biortho.numerics import laguerre_coeffs
 
 # Frozen oracle values (computed independently during the build and pinned).
 HYP0F1_ORACLE = {
@@ -55,22 +54,6 @@ class TestLaguerre:
         vals = laguerre(4, 0.5, x)
         for xi, vi in zip(x, vals):
             assert laguerre(4, 0.5, float(xi)) == vi
-
-    def test_coeffs_match_values(self):
-        # the coefficient recurrence and the value recurrence must agree
-        x = np.linspace(0.0, 8.0, 9)
-        for n in range(7):
-            for alpha in (0.0, 1.0, 2.5):
-                c = laguerre_coeffs(n, alpha)
-                assert c.size == n + 1
-                poly = np.polynomial.polynomial.polyval(x, c)
-                assert np.allclose(poly, laguerre(n, alpha, x), rtol=1e-12, atol=1e-12)
-
-    def test_leading_coefficient(self):
-        # leading coefficient of L_n^alpha is (-1)^n / n!
-        for n in range(1, 6):
-            c = laguerre_coeffs(n, 1.0)
-            assert c[-1] == pytest.approx((-1.0) ** n / math.factorial(n), rel=1e-13)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -228,6 +211,18 @@ class TestGaussLaguerre:
             gauss_laguerre(0, 0.0)
         with pytest.raises(DomainError):
             gauss_laguerre(4, -1.5)
+
+    def test_cached_per_size_and_alpha(self):
+        # one rule object per (n, alpha), shared safely because it is read-only
+        r = gauss_laguerre(64, 1.5)
+        assert gauss_laguerre(64, 1.5) is r
+        assert not r.nodes.flags.writeable and not r.weights.flags.writeable
+        assert gauss_laguerre(64, 0.5) is not r
+        # a warm cache does not let bad input through
+        with pytest.raises(DomainError):
+            gauss_laguerre(0, 1.5)
+        with pytest.raises(DomainError):
+            gauss_laguerre(64, -1.5)
 
 
 class TestGaussLegendre:
