@@ -79,7 +79,6 @@ from .multipoly import (
 )
 from .numerics import (
     QuadratureRule,
-    det,
     elem_sym,
     gauss_laguerre,
     gauss_legendre,

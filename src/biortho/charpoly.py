@@ -45,13 +45,8 @@ from scipy.special import ndtri
 
 from .chgue import ChgueParams, chgue_kernel, staircase_functions
 from .ensembles import Segment, op_from_weight
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    NumericWarning,
-    UnsupportedModelError,
-)
-from .numerics import check_gram_size, gauss_legendre
+from .errors import DomainError, NumericWarning, UnsupportedModelError
+from .numerics import bidiagonal_series, check_gram_size, gauss_legendre
 
 __all__ = [
     "AvgEstimate",
@@ -71,9 +66,8 @@ __all__ = [
 
 DEFAULT_EPS_SCHEDULE = (1e-2, 5e-3, 2.5e-3)
 _CHUNK = 65536
-# relative size of rounding: series convergence and residue_extract's floor
+# relative size of rounding: residue_extract's floor
 _ROUNDING = 16 * np.finfo(float).eps
-_SERIES_MAX_TERMS = 500
 # the oracle's panel ends either side of the pole
 _POLE_CUTS = (1.0, 5.0, 10.0, 20.0, 45.0, 70.0)
 
@@ -360,25 +354,11 @@ def _newton_column(a: NDArray[np.float64], t: NDArray[np.float64]) -> NDArray[np
     by Opitz's theorem the prefix divided differences
     $e^{t\,\cdot}[a_1..a_k]$, $k = 1..N$, with $J$ lower bidiagonal (the
     $a_i$ on its diagonal, ones below it).  Coincident sources turn into
-    $t^{k-1} e^{a t}/(k-1)!$ with no special case.  The Taylor series runs on
-    $J - cI$, $c$ the mean source, and is scaled back by $e^{ct}$."""
+    $t^{k-1} e^{a t}/(k-1)!$ with no special case.  The exponential series
+    (:func:`~biortho.numerics.bidiagonal_series`) runs on $J - cI$, $c$ the
+    mean source, and is scaled back by $e^{ct}$."""
     c = float(np.mean(a))
-    diag = (a - c)[:, None]
-    term = np.zeros((a.size, t.size))
-    term[0] = 1.0
-    total = term.copy()
-    for k in range(_SERIES_MAX_TERMS):
-        jt = diag * term
-        jt[1:] += term[:-1]
-        term = jt * (t / (k + 1))
-        total += term
-        if np.all(np.abs(term) <= _ROUNDING * np.abs(total)):
-            return total * np.exp(c * t)
-    raise ConvergenceError(
-        f"exponential series did not converge in {_SERIES_MAX_TERMS} terms "
-        f"(sources {a.tolist()}, max |t| = {np.max(np.abs(t)):.3g})",
-        partial=total,
-    )
+    return bidiagonal_series(a - c, t) * np.exp(c * t)
 
 
 class RatioOracle:

@@ -16,12 +16,11 @@ staircase sum (with the paper's residue-sum integral as a reference), the
 confluent (coalescing-$a_i$) weight construction, and the finite-rank
 decomposition of the kernel.
 
-The type I function and the kernel are built from divided differences over
-the sources.  One evaluator gives all of them at once, as the first column
-of a matrix function of a bidiagonal matrix (Opitz's theorem), with no
-cancellation for clustered sources; so type I and the kernel accept
-coincident sources.  Only :func:`chgue_pdf`, whose normalization divides by
-the Vandermonde $\Delta(a)$, raises :class:`ConfluentError`.
+The type I function and the kernel are divided differences over the
+sources, all given at once by one Opitz column (:func:`_dd_column`), so
+they accept coincident sources.  Only :func:`chgue_pdf`, whose
+normalization divides by the Vandermonde $\Delta(a)$, raises
+:class:`ConfluentError`.
 
 Tested contracts, against 50-digit ``mpmath`` references: type I within
 ``1e-11`` relative, normwise over $x \in [0, 30]$, for $N \le 6$ and
@@ -41,9 +40,10 @@ from numpy.typing import NDArray
 from scipy.linalg import expm
 
 from .ensembles import EnsembleSpec, HalfLine
-from .errors import ConfluentError, ConvergenceError, DomainError
+from .errors import ConfluentError, DomainError
 from .multipoly import Composition, WeightSystem, xi_family
 from .numerics import (
+    bidiagonal_series,
     check_gram_size,
     gauss_laguerre,
     hyp0f1,
@@ -203,10 +203,6 @@ def chgue_pdf(p: ChgueParams, x: Sequence[float]) -> float:
 # divided differences and the closed forms built on them
 # ---------------------------------------------------------------------------
 
-_SERIES_RTOL = np.finfo(float).eps
-_SERIES_MAX_TERMS = 500
-
-
 def _arguments(v, what: str) -> NDArray:
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v) & (v >= 0)):
@@ -220,36 +216,13 @@ def _weight_factor(alpha: float, y: NDArray) -> NDArray:
 
 def _dd_column(alpha: float, a: NDArray, y: NDArray) -> NDArray:
     r"""Every prefix divided difference $f_y[a_1..a_k]$, $k = 1..N$, of
-    $f_y(v) = e^{-v}\,_0F_1(\alpha+1; y v)$, with shape ``(N,) + y.shape``.
-
-    By Opitz's theorem they are the first column of $f_y(J)$, where $J$ is
-    lower bidiagonal with the $a_i$ on its diagonal and ones below it, so the
-    column is $e^{-J}\,_0F_1(\alpha+1; yJ)\, e_1$.  For $y \ge 0$ every term
-    of the matrix series is non-negative: nothing cancels, and repeated or
-    clustered nodes (confluent divided differences) need no special case.
-    """
-    n = a.size
-    diag = a.reshape((n,) + (1,) * y.ndim)
-    term = np.zeros((n,) + y.shape)
-    term[0] = 1.0
-    total = term.copy()
-    # an overflowing series ends in inf/nan, which the check below reports
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(_SERIES_MAX_TERMS):
-            if np.all(term <= _SERIES_RTOL * total):  # all terms are >= 0
-                break
-            jt = diag * term
-            jt[1:] += term[:-1]
-            term = jt * (y / ((alpha + 1 + k) * (k + 1)))
-            total += term
-    if not (np.all(np.isfinite(total)) and np.all(term <= _SERIES_RTOL * total)):
-        raise ConvergenceError(
-            f"0F1 matrix series did not converge to a finite value in "
-            f"{_SERIES_MAX_TERMS} terms "
-            f"(alpha={alpha}, max a={np.max(a):.3g}, max y={np.max(y):.3g})",
-            partial=total,
-        )
-    return np.tensordot(expm(-(np.diag(a) + np.eye(n, k=-1))), total, axes=1)
+    $f_y(v) = e^{-v}\,_0F_1(\alpha+1; y v)$, with shape ``(N,) + y.shape``:
+    by Opitz's theorem the first column $e^{-J}\,_0F_1(\alpha+1; yJ)\, e_1$
+    of $f_y(J)$, with the series from
+    :func:`~biortho.numerics.bidiagonal_series`.  Repeated sources need no
+    special case; the product with $e^{-J}$ cancels as $N$ grows."""
+    j = np.diag(a) + np.eye(a.size, k=-1)
+    return np.tensordot(expm(-j), bidiagonal_series(a, y, alpha + 1), axes=1)
 
 
 def chgue_type_one(p: ChgueParams) -> Callable:
@@ -369,9 +342,10 @@ def residue_kernel(p: ChgueParams, x: float, y: float, n_quad: int | None = None
 
     Accuracy note: $S$ grows like $e^{2\sqrt{a_j y}}$ while the kernel decays
     like $e^{-y}$, and the oscillation in $x$ outruns any fixed rule, so this
-    form is a bulk-window reference: for $N \le 6$ and sources of order one
-    it matches :func:`chgue_kernel` to about ``1e-10`` (normwise) on
-    $[0, 6]^2$ and ``1e-7`` on $[0, 12]^2$."""
+    form is a bulk-window reference.  Tested contract: within ``1e-9``
+    (normwise) of :func:`chgue_kernel` over a 13 x 13 grid on $[0, 12]^2$,
+    for $N = 2..6$, $\alpha \in \{0, 1, 2\}$ and sources uniform on
+    $[0.1, 2]$; measured ``8.1e-11`` there and ``2.2e-13`` on $[0, 6]^2$."""
     x = float(_arguments(x, "residue_kernel"))
     y = float(_arguments(y, "residue_kernel"))
     a = np.asarray(p.a, dtype=float)

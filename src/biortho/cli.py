@@ -245,8 +245,8 @@ def _cmd_kernel(args) -> int:
     rows = np.column_stack([gx.ravel(), gy.ravel(), values.ravel()]).tolist()
     extra = None
     if args.cross_check:
-        if args.ensemble != "chgue":
-            raise DomainError("--cross-check applies to the chgue ensemble only")
+        if args.ensemble not in ("chgue", "confluent"):
+            raise DomainError("--cross-check applies to the chgue and confluent ensembles only")
         ref = kernel_eval(build_kernel(reference_spec(_chgue_params(args))), xs, ys)
         dev = float(np.max(np.abs(values - ref) / np.maximum(np.abs(ref), 1e-12)))
         extra = {"cross_check_max_rel_dev": dev}

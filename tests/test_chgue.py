@@ -36,7 +36,7 @@ from biortho import (
     type_two,
     w_alpha,
 )
-from biortho import chgue
+from biortho import numerics
 from biortho.ensembles import _dx_rule
 from biortho.numerics import integrate_nd, log_gamma
 
@@ -240,7 +240,7 @@ class TestTypeFunctions:
         # overflow and the term cap both end in ConvergenceError, not a NaN
         with pytest.raises(ConvergenceError), np.errstate(over="ignore"):
             chgue_type_one(ChgueParams(0.0, (1e4, 0.0)))(1e4)
-        monkeypatch.setattr(chgue, "_SERIES_MAX_TERMS", 5)
+        monkeypatch.setattr(numerics, "_SERIES_MAX_TERMS", 5)
         with pytest.raises(ConvergenceError):
             chgue_type_one(ChgueParams(0.0, (1.0,)))(10.0)
 
@@ -335,6 +335,18 @@ class TestKernel:
             for x, y in [(0.5, 1.7), (3.0, 0.9), (6.0, 4.0)]:
                 ref = kernel_eval(kd, x, y)
                 assert chgue_kernel(p, x, y) == pytest.approx(ref, rel=1e-9, abs=0)
+
+    def test_residue_kernel_bulk_window(self):
+        # the paper's integral form against the staircase sum, normwise over
+        # a 13 x 13 grid on [0, 12]^2
+        g = np.linspace(0.0, 12.0, 13)
+        rng = np.random.default_rng(11)
+        for n in range(2, 7):
+            for alpha in (0.0, 1.0, 2.0):
+                p = ChgueParams(alpha, tuple(rng.uniform(0.1, 2.0, size=n)))
+                ref = chgue_kernel(p, g[:, None], g[None, :])
+                res = np.array([[residue_kernel(p, x, y) for y in g] for x in g])
+                assert np.max(np.abs(res - ref)) <= 1e-9 * np.max(np.abs(ref))
 
     def test_quadrature_doubling(self):
         # doubling the u-rule must not move the residue-sum reference

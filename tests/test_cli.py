@@ -74,6 +74,18 @@ class TestKernelCommand:
         assert code == EXIT_OK
         assert json.loads(out)["metadata"]["cross_check_max_rel_dev"] < 1e-7
 
+    def test_cross_check_confluent(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "kernel", "--ensemble", "confluent", "--b", "1.2,0.4", "--mult", "2,1",
+            "--alpha", "1", "--grid", "0.5:4:3", "--cross-check", "--format", "json",
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["metadata"]["cross_check_max_rel_dev"] < 1e-7
+        for flags in (["--ensemble", "laguerre", "--n", "3"], ["--ensemble", "hermite", "--n", "3"]):
+            code, _, _ = run(capsys, "kernel", *flags, "--grid", "0.5:4:3", "--cross-check")
+            assert code == EXIT_USAGE
+
     def test_json_schema(self, capsys):
         code, out, _ = run(
             capsys,
