@@ -22,14 +22,17 @@ counter-based stream keyed by ``(seed, sample_index)``, and all reductions
 run in fixed sample order, so results are bitwise identical for any worker
 count, chunk split or ``start`` offset.
 
-Eigenvalue path, selected by N alone: for N <= 3 the spectra are closed
-forms evaluated elementwise over the chunk (N = 1 the diagonal, N = 2 the
-quadratic formula, N = 3 Smith's trigonometric solution of the cubic);
-N >= 4 uses batched LAPACK ``eigvalsh``.  The closed forms agree with LAPACK
-on the same matrices to 1e-12 normwise per draw (measured: at most 1.4e-14
-on sampled matrices) and are always ascending.  At an exactly repeated
-eigenvalue the N = 3 formula is only sqrt(eps)-accurate (tested to 5e-8
-normwise; such matrices have probability zero under the sampled densities).
+Eigenvalue path, selected by N alone: N <= 3 never forms the matrix; its
+1, 3 or 6 lower-triangle entries are built as rows over the chunk, and the
+spectra are closed forms on them (N = 1 the diagonal, N = 2 the quadratic
+formula, N = 3 Smith's trigonometric solution of the cubic).  N >= 4
+assembles the matrices from the same variates and uses batched LAPACK
+``eigvalsh``, with the bits of earlier versions.  The closed forms agree
+with LAPACK on the same matrices to 1e-12 normwise per draw (measured: at
+most 1.4e-14 on sampled matrices) and are always ascending.  At an exactly
+repeated eigenvalue the N = 3 formula is only sqrt(eps)-accurate (tested to
+5e-8 normwise; such matrices have probability zero under the sampled
+densities).
 """
 from __future__ import annotations
 
@@ -130,19 +133,42 @@ class SourceModel:
 
 
 def _normals(seed: int, start: int, count: int, stride: int) -> NDArray[np.float64]:
-    """(count, stride) standard normals from per-sample Philox counter
-    blocks: sample ``i`` owns 128-bit blocks [i*bps, (i+1)*bps) of the
-    keyed stream, so any chunking/worker split sees identical variates."""
+    """(stride, count) standard normals, one column per sample, from
+    per-sample Philox counter blocks: sample ``i`` owns 128-bit blocks
+    [i*bps, (i+1)*bps) of the keyed stream, so any chunking/worker split sees
+    identical variates."""
     bps = (stride + 3) // 4  # 4 uint64 outputs per 128-bit Philox block
     bg = np.random.Philox(key=seed, counter=[start * bps, 0, 0, 0])
     raw = bg.random_raw(count * bps * 4).reshape(count, bps * 4)[:, :stride]
-    # in place but for the one conversion: a chunk holds two arrays, not four
+    # in place but for the one conversion, which also puts the samples last:
+    # a chunk holds two arrays, not four
     raw >>= np.uint64(11)
-    uniforms = raw.astype(np.float64)
+    uniforms = raw.T.astype(np.float64, order="C")
     del raw
     uniforms *= 2.0**-53
     uniforms += 2.0**-54
     return ndtri(uniforms, out=uniforms)
+
+
+def _entries(m: SourceModel, z: NDArray[np.float64]) -> tuple[NDArray[np.float64], ...]:
+    """The map from variates to matrix entries, samples on the last axis;
+    scales the normals ``z`` of :func:`_normals` in place and returns views.
+
+    Hermitian: ``(diag, re, im)`` of ``A/2 + H``, its diagonal and the real
+    and imaginary parts of its strict upper triangle in row-major order.
+    Chiral: ``(re, im)`` of ``X``, each of shape ``(n + alpha, n, count)``."""
+    n = m.n
+    if m.kind == "hermitian":
+        # H with density ~ e^{-tr H^2}: diag N(0, 1/2), offdiag Re/Im N(0, 1/4)
+        noff = n * (n - 1) // 2
+        z[:n] *= math.sqrt(0.5)
+        z[:n] += np.asarray(m.a)[:, None] / 2.0
+        z[n:] *= 0.5
+        return z[:n], z[n : n + noff], z[n + noff :]
+    g = z.reshape(2, n + int(m.alpha), n, z.shape[-1])
+    g *= math.sqrt(0.5)
+    g[0, np.arange(n), np.arange(n)] += np.sqrt(np.asarray(m.a))[:, None]
+    return g[0], g[1]
 
 
 def _assemble(m: SourceModel, seed: int, start: int, count: int) -> NDArray[np.complex128]:
@@ -151,72 +177,95 @@ def _assemble(m: SourceModel, seed: int, start: int, count: int) -> NDArray[np.c
     z = _normals(seed, start, count, m.stride)
     n = m.n
     if m.kind == "hermitian":
-        # H with density ~ e^{-tr H^2}: diag N(0, 1/2), offdiag Re/Im N(0, 1/4)
+        diag, re, im = _entries(m, z)
         h = np.zeros((count, n, n), dtype=complex)
         idx = np.arange(n)
-        pos = 0
-        h[:, idx, idx] = z[:, :n] * math.sqrt(0.5)
-        pos = n
         iu, ju = np.triu_indices(n, k=1)
-        noff = iu.size
-        re = z[:, pos : pos + noff] * 0.5
-        im = z[:, pos + noff : pos + 2 * noff] * 0.5
-        h[:, iu, ju] = re + 1j * im
-        h[:, ju, iu] = re - 1j * im
-        h[:, idx, idx] += np.asarray(m.a) / 2.0
+        h[:, idx, idx] = diag.T
+        h[:, iu, ju] = (re + 1j * im).T
+        h[:, ju, iu] = (re - 1j * im).T
         return h
-    big_m = n + int(m.alpha)
-    g = z.reshape(count, 2, big_m, n)
-    x = np.empty((count, big_m, n), dtype=complex)
-    x.real, x.imag = g[:, 0], g[:, 1]
-    del z, g  # the normals are the chunk's largest array
-    x *= math.sqrt(0.5)
-    x[:, np.arange(n), np.arange(n)] += np.sqrt(np.asarray(m.a))
+    re, im = _entries(m, z)
+    x = np.empty((count,) + re.shape[:2], dtype=complex)
+    x.real, x.imag = np.moveaxis(re, -1, 0), np.moveaxis(im, -1, 0)
+    del z, re, im  # the normals are the chunk's largest array
     return np.einsum("sji,sjk->sik", x.conj(), x)
 
 
-def _eigvalsh(h: NDArray[np.complex128]) -> NDArray[np.float64]:
-    """Ascending eigenvalues of a (count, n, n) stack of Hermitian matrices,
-    read from the diagonal and the lower triangle as LAPACK's default does.
+def _triangle(
+    m: SourceModel, seed: int, start: int, count: int
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Real and imaginary rows, ``(n(n+1)/2, count)`` each, of the lower
+    triangles (row-major: h00, h10, h11, h20, ...) of the matrices that
+    :func:`_assemble` stacks, built without forming the matrices; n <= 3.
 
-    For n <= 3 they are closed forms computed matrix by matrix with
-    elementwise ufuncs, so each matrix's eigenvalues do not depend on its
-    position in the stack:
+    The chiral entries ``sum_j conj(x_ji) x_jk`` are accumulated over the
+    rows ``j`` of ``X`` by elementwise multiply-adds, so every sample's
+    entries are independent of its place in the chunk (a contraction over
+    ``j`` by ``einsum`` or ``matmul`` may order its sum by batch length)."""
+    z = _normals(seed, start, count, m.stride)
+    il, jl = np.tril_indices(m.n)
+    re = np.zeros((il.size, count))
+    im = np.zeros((il.size, count))
+    if m.kind == "hermitian":
+        diag, re_up, im_up = _entries(m, z)
+        # for n <= 3 the strict lower triangle, row-major, lists the
+        # conjugates of the strict upper one in its row-major order
+        off = il != jl
+        re[~off], re[off], im[off] = diag, re_up, -im_up
+        return re, im
+    xr, xi = _entries(m, z)
+    prod, term = np.empty(count), np.empty(count)
+    for j in range(xr.shape[0]):
+        for p, (i, k) in enumerate(zip(il, jl)):
+            # conj(x_ji) x_jk, each part rounded before it joins the sum
+            np.multiply(xr[j, i], xr[j, k], out=term)
+            term += np.multiply(xi[j, i], xi[j, k], out=prod)
+            re[p] += term
+            if i != k:
+                np.multiply(xr[j, i], xi[j, k], out=term)
+                term -= np.multiply(xi[j, i], xr[j, k], out=prod)
+                im[p] += term
+    return re, im
+
+
+def _eigvalsh(re: NDArray[np.float64], im: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Ascending eigenvalues, ``(count, n)`` for n <= 3, of the Hermitian
+    matrices whose lower triangles have the real and imaginary rows ``re``
+    and ``im`` (the layout of :func:`_triangle`).
+
+    They are closed forms computed elementwise, so each matrix's
+    eigenvalues do not depend on its position in the chunk:
     n = 2 is ``(a+b)/2 -+ sqrt(((a-b)/2)^2 + |d|^2)``, n = 3 is Smith's
     trigonometric solution of the characteristic cubic (Comm. ACM 4(4):168,
-    1961).  Larger n goes through batched ``np.linalg.eigvalsh``."""
-    n = h.shape[-1]
-    if n > 3:
-        return np.linalg.eigvalsh(h)
+    1961)."""
+    n = math.isqrt(8 * re.shape[0] + 1) // 2
     if n == 1:
-        return h[:, :, 0].real.copy()
-    il, jl = np.tril_indices(n)
-    low = h[:, il, jl]
+        return re.T.copy()
     # each matrix is divided by a power of two near its largest entry, which
     # keeps the squares and cubes below clear of overflow and underflow; the
     # division is exact, so it changes no bits where they were clear anyway
-    big = np.maximum(np.abs(low.real), np.abs(low.imag)).max(axis=1)
+    big = np.maximum(np.abs(re).max(axis=0), np.abs(im).max(axis=0))
     scale = np.ldexp(1.0, np.frexp(big)[1] - 1)
-    low = np.ascontiguousarray((low / scale[:, None]).T)
+    re, im = re / scale, im / scale
     if n == 2:
-        a, d, b = low[0].real, low[1], low[2].real
+        (a, d, b), di = re, im[1]
         mean, half = 0.5 * (a + b), 0.5 * (a - b)
-        rad = np.sqrt(half * half + d.real * d.real + d.imag * d.imag)
+        rad = np.sqrt(half * half + d * d + di * di)
         return np.stack([mean - rad, mean + rad], axis=1) * scale[:, None]
     # row-major lower triangle: h00, h10, h11, h20, h21, h22
-    a, d, b, e, f, c = low
-    a, b, c = a.real, b.real, c.real
+    (a, d, b, e, f, c), (_, di, _, ei, fi, _) = re, im
     trace = a + b + c
     q = trace / 3.0
     a, b, c = a - q, b - q, c - q
-    dd = d.real * d.real + d.imag * d.imag
-    ee = e.real * e.real + e.imag * e.imag
-    ff = f.real * f.real + f.imag * f.imag
+    dd = d * d + di * di
+    ee = e * e + ei * ei
+    ff = f * f + fi * fi
     p = np.sqrt((a * a + b * b + c * c + 2.0 * (dd + ee + ff)) / 6.0)
     # det(A - qI); the off-diagonal cycle is 2 Re(d f conj(e))
-    df_re = d.real * f.real - d.imag * f.imag
-    df_im = d.real * f.imag + d.imag * f.real
-    det = a * b * c + 2.0 * (df_re * e.real + df_im * e.imag) - a * ff - b * ee - c * dd
+    df_re = d * f - di * fi
+    df_im = d * fi + di * f
+    det = a * b * c + 2.0 * (df_re * e + df_im * ei) - a * ff - b * ee - c * dd
     # p = 0 means A = qI, where det = 0 too, so r = 0; clipping keeps the
     # rounded r inside arccos's domain
     r = np.clip(det / (2.0 * np.where(p > 0.0, p, 1.0) ** 3), -1.0, 1.0)
@@ -230,7 +279,9 @@ def _eigvalsh(h: NDArray[np.complex128]) -> NDArray[np.float64]:
 
 
 def _spectra_chunk(m: SourceModel, seed: int, start: int, count: int) -> NDArray[np.float64]:
-    return _eigvalsh(_assemble(m, seed, start, count))
+    if m.n > 3:
+        return np.linalg.eigvalsh(_assemble(m, seed, start, count))
+    return _eigvalsh(*_triangle(m, seed, start, count))
 
 
 def sample_matrix(m: SourceModel, seed: int, index: int = 0) -> NDArray[np.float64]:
@@ -247,8 +298,9 @@ def sample_spectra(
     (64k samples) independently of ``workers``, and each chunk lands at its
     own offset, so the result is bitwise identical for any worker count.
 
-    For n <= 3 the eigenvalues are closed forms (elementwise, so a sample's
-    bits do not depend on its chunk position); they match batched LAPACK
+    For n <= 3 the eigenvalues are closed forms on the lower triangle, which
+    is built without forming the matrix (elementwise, so a sample's bits do
+    not depend on its chunk position); they match batched LAPACK
     ``eigvalsh`` on the same matrices to 1e-12 normwise per draw, except at
     exactly repeated eigenvalues, where the n = 3 formula is only
     sqrt(eps)-accurate (5e-8).  n >= 4 uses LAPACK."""

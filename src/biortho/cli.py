@@ -198,16 +198,17 @@ def _kernel_function(args) -> tuple[int, Callable]:
 
 def _emit(args, header: list[str], rows: Sequence[Sequence[float]], params: dict,
           extra=None) -> None:
+    table = np.asarray(rows, dtype=float)
     if args.format == "csv":
-        row_format = ",".join(["%.17g"] * len(header))
-        lines = [",".join(header)]
-        lines.extend(row_format % tuple(row) for row in rows)
-        text = "\n".join(lines) + "\n"
+        # one % over the whole table, not one per row
+        row_format = ",".join(["%.17g"] * len(header)) + "\n"
+        body = (row_format * len(table)) % tuple(table.ravel().tolist())
+        text = ",".join(header) + "\n" + body
     else:
         doc = {
             "params": params,
-            "grid": [list(row[:-1]) for row in rows],
-            "values": [row[-1] for row in rows],
+            "grid": table[:, :-1].tolist(),
+            "values": table[:, -1].tolist(),
             "metadata": {
                 "seed": args.seed,
                 "versions": {
@@ -242,7 +243,7 @@ def _cmd_kernel(args) -> int:
     _, kernel = _kernel_function(args)
     values = kernel(xs, ys)
     gx, gy = np.meshgrid(grid, grid, indexing="ij")
-    rows = np.column_stack([gx.ravel(), gy.ravel(), values.ravel()]).tolist()
+    rows = np.column_stack([gx.ravel(), gy.ravel(), values.ravel()])
     extra = None
     if args.cross_check:
         if args.ensemble not in ("chgue", "confluent"):
@@ -281,7 +282,7 @@ def _cmd_poly(args) -> int:
     if selftest is not None:
         print(f"type I self-test: final moment = {selftest:.12g} (should be 1)",
               file=sys.stderr)
-    rows = np.column_stack([grid, f(grid)]).tolist()
+    rows = np.column_stack([grid, f(grid)])
     _emit(args, ["x", "value"], rows, _params_dict(args))
     return EXIT_OK
 
@@ -313,7 +314,7 @@ def _cmd_sample(args) -> int:
         raise DomainError("sample supports the chgue and hermite ensembles")
     spectra = sample_spectra(model, args.seed, args.samples)
     header = [f"lambda{i+1}" for i in range(model.n)]
-    _emit(args, header, spectra.tolist(), _params_dict(args))
+    _emit(args, header, spectra, _params_dict(args))
     return EXIT_OK
 
 

@@ -33,7 +33,7 @@ from biortho import (
     sample_spectra,
 )
 from biortho import charpoly
-from biortho.charpoly import _assemble, _eigvalsh
+from biortho.charpoly import _CHUNK, _assemble, _eigvalsh, _triangle
 from biortho.errors import CapacityError
 from biortho.numerics import max_gram_size
 
@@ -84,6 +84,29 @@ class TestSampling:
                 bulk = sample_spectra(m, seed=9, count=10)
                 for i in (0, 3, 9):
                     assert np.array_equal(sample_matrix(m, seed=9, index=i), bulk[i])
+        # and where the bulk draw spans two chunks: the last sample of the
+        # first, the first of the second, and one mid-chunk
+        for n in (2, 3):
+            for m in _models(n):
+                bulk = sample_spectra(m, seed=9, count=_CHUNK + 4)
+                for i in (_CHUNK - 1, _CHUNK, 40_000):
+                    assert np.array_equal(sample_matrix(m, seed=9, index=i), bulk[i])
+
+    def test_triangle_matches_assembled_matrices(self):
+        # the N <= 3 path never forms the matrices; its lower triangle is
+        # the assembled one, bitwise for the Hermitian model (the same
+        # elementwise operations) and to rounding for the chiral X^dag X
+        for n in (1, 2, 3):
+            il, jl = np.tril_indices(n)
+            for m in _models(n):
+                re, im = _triangle(m, seed=13, start=7, count=5000)
+                low = _assemble(m, seed=13, start=7, count=5000)[:, il, jl].T
+                if m.kind == "hermitian":
+                    assert re.tobytes() == np.ascontiguousarray(low.real).tobytes()
+                    assert im.tobytes() == np.ascontiguousarray(low.imag).tobytes()
+                else:
+                    scale = np.max(np.abs(low), axis=0)
+                    assert np.max(np.abs(re + 1j * im - low) / scale) <= 1e-14
 
     def test_worker_count_bitwise_invariance(self):
         m = SourceModel("chiral", 2, (0.3, 1.1), alpha=1)
@@ -101,11 +124,25 @@ class TestSampling:
                 assert np.array_equal(bulk[5:], tail)
 
     def test_closed_form_matches_lapack(self):
-        # N <= 3 spectra come from closed forms; LAPACK on the same
-        # assembled matrices is the reference, 1e-12 normwise per draw
+        # N <= 3 spectra come from closed forms on the lower triangle; LAPACK
+        # on the matrices unpacked from the same triangle is the reference,
+        # 1e-12 normwise per draw
         def normwise(got, want):
             scale = np.maximum(np.max(np.abs(want), axis=-1), np.finfo(float).tiny)
             return np.max(np.abs(got - want), axis=-1) / scale
+
+        def unpack(re, im):
+            n = math.isqrt(8 * len(re) + 1) // 2
+            il, jl = np.tril_indices(n)
+            h = np.zeros((re.shape[1], n, n), dtype=complex)
+            h[:, jl, il] = (re - 1j * im).T
+            h[:, il, jl] = (re + 1j * im).T
+            return h
+
+        def pack(h):
+            il, jl = np.tril_indices(h.shape[-1])
+            low = h[:, il, jl].T
+            return np.ascontiguousarray(low.real), np.ascontiguousarray(low.imag)
 
         for n in (1, 2, 3):
             zero, repeated = (0.0,) * n, (0.3, 1.1, 1.1)[:n]
@@ -115,17 +152,18 @@ class TestSampling:
                 SourceModel("chiral", n, zero, alpha=0),
                 SourceModel("chiral", n, repeated, alpha=2),
             ):
-                h = _assemble(m, seed=40 + n, start=0, count=100_000)
-                got = _eigvalsh(h)
+                re, im = _triangle(m, seed=40 + n, start=0, count=100_000)
+                got = _eigvalsh(re, im)
                 assert np.all(np.diff(got, axis=1) >= 0)
-                assert np.max(normwise(got, np.linalg.eigvalsh(h))) <= 1e-12
+                assert np.max(normwise(got, np.linalg.eigvalsh(unpack(re, im)))) <= 1e-12
                 # squares and cubes of such entries leave the double range
                 for s in (1e-300, 1e300):
-                    hs = h[:1000] * s
-                    assert np.max(normwise(_eigvalsh(hs), np.linalg.eigvalsh(hs))) <= 1e-12
+                    rs, ims = re[:, :1000] * s, im[:, :1000] * s
+                    want = np.linalg.eigvalsh(unpack(rs, ims))
+                    assert np.max(normwise(_eigvalsh(rs, ims), want)) <= 1e-12
             # exact multiples of the identity, the zero matrix among them
             for c in (0.0, 1.0, -2.5, 0.1, 1e-200, 3e100):
-                got = _eigvalsh(np.eye(n, dtype=complex)[None] * c)
+                got = _eigvalsh(*pack(np.eye(n, dtype=complex)[None] * c))
                 assert np.all(np.isfinite(got)) and np.all(np.diff(got, axis=1) >= 0)
                 assert np.max(np.abs(got - c)) <= 1e-14 * abs(c)
         # at an exactly repeated eigenvalue the trigonometric n = 3 formula
@@ -136,7 +174,7 @@ class TestSampling:
         for spectrum in ((1.0, 1.0, 2.0), (0.5, 3.0, 3.0)):
             h = (u * np.asarray(spectrum)) @ u.conj().transpose(0, 2, 1)
             h = 0.5 * (h + h.conj().transpose(0, 2, 1))
-            got = _eigvalsh(h)
+            got = _eigvalsh(*pack(h))
             assert np.all(np.diff(got, axis=1) >= 0)
             assert np.max(normwise(got, np.asarray(spectrum))) <= 5e-8
 

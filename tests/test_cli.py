@@ -267,6 +267,29 @@ class TestCorrAndSample:
         assert len(out1.strip().splitlines()) == 5
 
 
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        (["sample", "--alpha", "1", "--a", "0.5,1.5", "--samples", "300", "--seed", "7"],
+         "lambda1,lambda2"),
+        (["kernel", "--alpha", "1", "--a", "1.1,0.4", "--grid", "0.5:2.5:4"], "x,y,K"),
+        (["poly", "--a", "1.3,0.6", "--kind", "II", "--grid", "0:4:5"], "x,value"),
+        (["corr", "--a", "1.0,0.4", "--points", "0.8,2.2"], "x1,x2,rho"),
+    ],
+)
+def test_csv_bytes_are_per_row_joins(capsys, argv, header):
+    # the CSV table is formatted in one pass; its bytes are those of a
+    # per-row %.17g join of the same values, read from the JSON output
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    rows = [[*g, v] for g, v in zip(doc["grid"], doc["values"])]
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    want = header + "\n" + "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows)
+    assert out == want
+
+
 class TestVerifySuites:
     def test_gram_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "gram", "--a", "1.3,0.7,0.2")

@@ -114,6 +114,20 @@ class TestHyp0f1:
         scale = np.where(z >= 0, np.abs(ref), envelope)
         assert np.max(np.abs(hyp0f1(c, z) - ref) / scale) <= 1e-13
 
+    def test_large_parameter_negative_argument(self):
+        # scipy's z < 0 branch forms Gamma(c), which overflows past c = 171.6;
+        # there the series serves -c <= z < 0, and z < -c is refused
+        points = ((172.0, -1.0), (200.0, -50.0), (500.0, -400.0))
+        with mp.workdps(50):
+            ref = [float(mp.hyp0f1(c, z)) for c, z in points]
+        for (c, z), want in zip(points, ref):
+            assert hyp0f1(c, z) == pytest.approx(want, rel=1e-14)
+            assert hyp0f1(c, np.array([z, 0.0]))[0] == hyp0f1(c, z)
+        assert hyp0f1(172.0, -1.0) == pytest.approx(0.994, abs=5e-4)
+        for c, z in ((172.0, -172.5), (500.0, -1000.0)):
+            with pytest.raises(DomainError):
+                hyp0f1(c, z)
+
     def test_overflow_raises(self, capsys):
         # 0F1(1; z) = I_0(2 sqrt z) passes the largest double between
         # z = 1.27e5 and 1.28e5; past it the answer is a ConvergenceError,
