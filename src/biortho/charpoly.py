@@ -22,12 +22,12 @@ counter-based stream keyed by ``(seed, sample_index)``, and all reductions
 run in fixed sample order, so results are bitwise identical for any worker
 count, chunk split or ``start`` offset.
 
-Eigenvalue path, selected by N alone: N <= 3 never forms the matrix; its
-1, 3 or 6 lower-triangle entries are built as rows over the chunk, and the
-spectra are closed forms on them (N = 1 the diagonal, N = 2 the quadratic
-formula, N = 3 Smith's trigonometric solution of the cubic).  N >= 4
-assembles the matrices from the same variates and uses batched LAPACK
-``eigvalsh``, with the bits of earlier versions.  The closed forms agree
+Eigenvalue path: every N builds the N(N+1)/2 lower-triangle entries as rows
+over the chunk, and N alone picks the eigensolver.  N <= 3 never forms the
+matrix; the spectra are closed forms on the rows (N = 1 the diagonal, N = 2
+the quadratic formula, N = 3 Smith's trigonometric solution of the cubic).
+N >= 4 unpacks the rows into the lower triangle that batched LAPACK
+``eigvalsh`` reads, with the bits of earlier versions.  The closed forms agree
 with LAPACK on the same matrices to 1e-12 normwise per draw (measured: at
 most 1.4e-14 on sampled matrices) and are always ascending.  At an exactly
 repeated eigenvalue the N = 3 formula is only sqrt(eps)-accurate (tested to
@@ -150,71 +150,43 @@ def _normals(seed: int, start: int, count: int, stride: int) -> NDArray[np.float
     return ndtri(uniforms, out=uniforms)
 
 
-def _entries(m: SourceModel, z: NDArray[np.float64]) -> tuple[NDArray[np.float64], ...]:
-    """The map from variates to matrix entries, samples on the last axis;
-    scales the normals ``z`` of :func:`_normals` in place and returns views.
+def _triangle(
+    m: SourceModel, seed: int, start: int, count: int
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Real and imaginary rows, ``(n(n+1)/2, count)`` each, of the lower
+    triangles (row-major: h00, h10, h11, h20, ...) of the Hermitian matrices
+    whose spectra are the samples: ``A/2 + H`` for the Hermitian model,
+    ``X^dag X`` with ``X = A/2 + G`` for the chiral one.
 
-    Hermitian: ``(diag, re, im)`` of ``A/2 + H``, its diagonal and the real
-    and imaginary parts of its strict upper triangle in row-major order.
-    Chiral: ``(re, im)`` of ``X``, each of shape ``(n + alpha, n, count)``."""
+    The Hermitian variates are the diagonal, then the real and imaginary
+    parts of the strict upper triangle in row-major order.  The chiral
+    entries ``sum_j conj(x_ji) x_jk`` are accumulated over the rows ``j`` of
+    ``X`` by elementwise multiply-adds, so every sample's entries are
+    independent of its place in the chunk (a contraction over ``j`` by
+    ``einsum`` or ``matmul`` may order its sum by batch length)."""
+    z = _normals(seed, start, count, m.stride)
     n = m.n
+    il, jl = np.tril_indices(n)
+    re = np.zeros((il.size, count))
+    im = np.zeros((il.size, count))
     if m.kind == "hermitian":
         # H with density ~ e^{-tr H^2}: diag N(0, 1/2), offdiag Re/Im N(0, 1/4)
         noff = n * (n - 1) // 2
         z[:n] *= math.sqrt(0.5)
         z[:n] += np.asarray(m.a)[:, None] / 2.0
         z[n:] *= 0.5
-        return z[:n], z[n : n + noff], z[n + noff :]
-    g = z.reshape(2, n + int(m.alpha), n, z.shape[-1])
-    g *= math.sqrt(0.5)
-    g[0, np.arange(n), np.arange(n)] += np.sqrt(np.asarray(m.a))[:, None]
-    return g[0], g[1]
-
-
-def _assemble(m: SourceModel, seed: int, start: int, count: int) -> NDArray[np.complex128]:
-    """(count, n, n) Hermitian matrices whose spectra are the samples:
-    ``A/2 + H`` for the Hermitian model, ``X^dag X`` for the chiral one."""
-    z = _normals(seed, start, count, m.stride)
-    n = m.n
-    if m.kind == "hermitian":
-        diag, re, im = _entries(m, z)
-        h = np.zeros((count, n, n), dtype=complex)
-        idx = np.arange(n)
-        iu, ju = np.triu_indices(n, k=1)
-        h[:, idx, idx] = diag.T
-        h[:, iu, ju] = (re + 1j * im).T
-        h[:, ju, iu] = (re - 1j * im).T
-        return h
-    re, im = _entries(m, z)
-    x = np.empty((count,) + re.shape[:2], dtype=complex)
-    x.real, x.imag = np.moveaxis(re, -1, 0), np.moveaxis(im, -1, 0)
-    del z, re, im  # the normals are the chunk's largest array
-    return np.einsum("sji,sjk->sik", x.conj(), x)
-
-
-def _triangle(
-    m: SourceModel, seed: int, start: int, count: int
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Real and imaginary rows, ``(n(n+1)/2, count)`` each, of the lower
-    triangles (row-major: h00, h10, h11, h20, ...) of the matrices that
-    :func:`_assemble` stacks, built without forming the matrices; n <= 3.
-
-    The chiral entries ``sum_j conj(x_ji) x_jk`` are accumulated over the
-    rows ``j`` of ``X`` by elementwise multiply-adds, so every sample's
-    entries are independent of its place in the chunk (a contraction over
-    ``j`` by ``einsum`` or ``matmul`` may order its sum by batch length)."""
-    z = _normals(seed, start, count, m.stride)
-    il, jl = np.tril_indices(m.n)
-    re = np.zeros((il.size, count))
-    im = np.zeros((il.size, count))
-    if m.kind == "hermitian":
-        diag, re_up, im_up = _entries(m, z)
-        # for n <= 3 the strict lower triangle, row-major, lists the
-        # conjugates of the strict upper one in its row-major order
+        # h_ik for i > k is the conjugate of h_ki, whose place in the upper
+        # row-major order this map gives (the identity for n <= 3)
+        upper = np.zeros((n, n), dtype=int)
+        upper[np.triu_indices(n, k=1)] = np.arange(noff)
+        up = upper.T[np.tril_indices(n, k=-1)]
         off = il != jl
-        re[~off], re[off], im[off] = diag, re_up, -im_up
+        re[~off], re[off], im[off] = z[:n], z[n + up], -z[n + noff + up]
         return re, im
-    xr, xi = _entries(m, z)
+    x = z.reshape(2, n + int(m.alpha), n, count)
+    x *= math.sqrt(0.5)
+    x[0, np.arange(n), np.arange(n)] += np.sqrt(np.asarray(m.a))[:, None]
+    xr, xi = x
     prod, term = np.empty(count), np.empty(count)
     for j in range(xr.shape[0]):
         for p, (i, k) in enumerate(zip(il, jl)):
@@ -230,18 +202,24 @@ def _triangle(
 
 
 def _eigvalsh(re: NDArray[np.float64], im: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Ascending eigenvalues, ``(count, n)`` for n <= 3, of the Hermitian
-    matrices whose lower triangles have the real and imaginary rows ``re``
-    and ``im`` (the layout of :func:`_triangle`).
+    """Ascending eigenvalues, ``(count, n)``, of the Hermitian matrices
+    whose lower triangles have the real and imaginary rows ``re`` and ``im``
+    (the layout of :func:`_triangle`).
 
-    They are closed forms computed elementwise, so each matrix's
+    For n <= 3 they are closed forms computed elementwise, so each matrix's
     eigenvalues do not depend on its position in the chunk:
     n = 2 is ``(a+b)/2 -+ sqrt(((a-b)/2)^2 + |d|^2)``, n = 3 is Smith's
     trigonometric solution of the characteristic cubic (Comm. ACM 4(4):168,
-    1961)."""
+    1961).  For n >= 4 the rows are unpacked into the lower triangle, the
+    only one that batched LAPACK ``eigvalsh`` reads."""
     n = math.isqrt(8 * re.shape[0] + 1) // 2
     if n == 1:
         return re.T.copy()
+    if n >= 4:
+        il, jl = np.tril_indices(n)
+        h = np.zeros((n, n, re.shape[1]), dtype=complex)
+        h.real[il, jl], h.imag[il, jl] = re, im
+        return np.linalg.eigvalsh(h.transpose(2, 0, 1))
     # each matrix is divided by a power of two near its largest entry, which
     # keeps the squares and cubes below clear of overflow and underflow; the
     # division is exact, so it changes no bits where they were clear anyway
@@ -279,8 +257,6 @@ def _eigvalsh(re: NDArray[np.float64], im: NDArray[np.float64]) -> NDArray[np.fl
 
 
 def _spectra_chunk(m: SourceModel, seed: int, start: int, count: int) -> NDArray[np.float64]:
-    if m.n > 3:
-        return np.linalg.eigvalsh(_assemble(m, seed, start, count))
     return _eigvalsh(*_triangle(m, seed, start, count))
 
 
@@ -298,12 +274,13 @@ def sample_spectra(
     (64k samples) independently of ``workers``, and each chunk lands at its
     own offset, so the result is bitwise identical for any worker count.
 
-    For n <= 3 the eigenvalues are closed forms on the lower triangle, which
-    is built without forming the matrix (elementwise, so a sample's bits do
-    not depend on its chunk position); they match batched LAPACK
-    ``eigvalsh`` on the same matrices to 1e-12 normwise per draw, except at
-    exactly repeated eigenvalues, where the n = 3 formula is only
-    sqrt(eps)-accurate (5e-8).  n >= 4 uses LAPACK."""
+    Every n builds the lower triangle as rows, without forming the matrix
+    (elementwise, so a sample's bits do not depend on its chunk position).
+    For n <= 3 the eigenvalues are closed forms on those rows; they match
+    batched LAPACK ``eigvalsh`` on the same matrices to 1e-12 normwise per
+    draw, except at exactly repeated eigenvalues, where the n = 3 formula is
+    only sqrt(eps)-accurate (5e-8).  n >= 4 hands the lower triangle to
+    LAPACK."""
     out = np.empty((count, m.n))
     chunks = [
         (start + lo, min(_CHUNK, count - lo)) for lo in range(0, count, _CHUNK)
@@ -583,15 +560,7 @@ def _kernel_diagonal_reference(m: SourceModel) -> Callable:
             "rho1 reference for the Hermitian model is only available at A = 0"
         )
     sys = op_from_weight(lambda t: np.exp(-t * t), Segment(-7.5, 7.5), m.n)
-
-    def rho(xs):
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        total = np.zeros_like(xs)
-        for k in range(m.n):
-            total += sys.eval(k, xs) ** 2 / sys.norms[k]
-        return np.exp(-xs * xs) * total
-
-    return rho
+    return lambda xs: sys.kernel(np.atleast_1d(xs), np.atleast_1d(xs))
 
 
 def _rho1_histogram(

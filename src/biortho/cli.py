@@ -8,8 +8,9 @@ chgue ensemble at the repeated sources and shares its closed forms.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numeric
 error.  Output as CSV (17 significant digits) or JSON
-``{params, grid, values, metadata{seed, versions}}``.  Flags may be
-preloaded from a JSON config file (``--config``); explicit flags win.
+``{params, grid, values, metadata{seed, versions}}``; for ``sample``,
+``grid[i]`` is i and ``values[i]`` the ascending spectrum of draw i.  Flags
+may be preloaded from a JSON config file (``--config``); explicit flags win.
 """
 from __future__ import annotations
 
@@ -176,9 +177,8 @@ def _op_system(args):
     if args.ensemble == "laguerre":
         alpha = args.alpha
         w = lambda t: t**alpha * np.exp(-t)
-        return op_from_weight(w, HalfLine(), n, quad=gauss_laguerre(64, alpha)), w, n
-    w = lambda t: np.exp(-t * t)
-    return op_from_weight(w, Segment(-7.5, 7.5), n), w, n
+        return op_from_weight(w, HalfLine(), n, quad=gauss_laguerre(64, alpha)), n
+    return op_from_weight(lambda t: np.exp(-t * t), Segment(-7.5, 7.5), n), n
 
 
 def _kernel_function(args) -> tuple[int, Callable]:
@@ -186,10 +186,8 @@ def _kernel_function(args) -> tuple[int, Callable]:
     if args.ensemble in ("chgue", "confluent"):
         params = _chgue_params(args)
         return params.n, functools.partial(chgue_kernel, params)
-    sys_, w, n = _op_system(args)
-    return n, lambda x, y: w(y) * sum(
-        sys_.eval(k, x) * sys_.eval(k, y) / sys_.norms[k] for k in range(n)
-    )
+    sys_, n = _op_system(args)
+    return n, sys_.kernel
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +195,10 @@ def _kernel_function(args) -> tuple[int, Callable]:
 # ---------------------------------------------------------------------------
 
 def _emit(args, header: list[str], rows: Sequence[Sequence[float]], params: dict,
-          extra=None) -> None:
+          extra=None, by_index: bool = False) -> None:
+    """Writes the table as CSV or JSON.  The JSON ``grid`` holds every column
+    but the last and ``values`` the last one; with ``by_index``, ``grid``
+    holds the row index and ``values`` the whole rows."""
     table = np.asarray(rows, dtype=float)
     if args.format == "csv":
         # one % over the whole table, not one per row
@@ -207,8 +208,8 @@ def _emit(args, header: list[str], rows: Sequence[Sequence[float]], params: dict
     else:
         doc = {
             "params": params,
-            "grid": table[:, :-1].tolist(),
-            "values": table[:, -1].tolist(),
+            "grid": list(range(len(table))) if by_index else table[:, :-1].tolist(),
+            "values": (table if by_index else table[:, -1]).tolist(),
             "metadata": {
                 "seed": args.seed,
                 "versions": {
@@ -269,12 +270,12 @@ def _cmd_poly(args) -> int:
             m = float(np.dot(rule.dx_weights, rule.nodes ** (params.n - 1) * f(rule.nodes)))
             selftest = m
     else:
-        sys_, w, n = _op_system(args)
+        sys_, n = _op_system(args)
         if args.kind == "II":
             f = lambda x: sys_.eval(n, x)
         else:
             h = sys_.norms[n - 1]
-            f = lambda x: w(np.asarray(x, dtype=float)) * sys_.eval(n - 1, x) / h
+            f = lambda x: sys_.weight(np.asarray(x, dtype=float)) * sys_.eval(n - 1, x) / h
             rule = sys_.quad
             selftest = float(
                 np.dot(rule.dx_weights, rule.nodes ** (n - 1) * f(rule.nodes))
@@ -314,7 +315,7 @@ def _cmd_sample(args) -> int:
         raise DomainError("sample supports the chgue and hermite ensembles")
     spectra = sample_spectra(model, args.seed, args.samples)
     header = [f"lambda{i+1}" for i in range(model.n)]
-    _emit(args, header, spectra, _params_dict(args))
+    _emit(args, header, spectra, _params_dict(args), by_index=True)
     return EXIT_OK
 
 

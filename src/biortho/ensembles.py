@@ -286,19 +286,33 @@ class OrthoPolySystem:
     norms: NDArray[np.float64]
     quad: QuadratureRule
 
-    def eval(self, n: int, x) -> NDArray[np.float64] | float:
-        """Value of the monic polynomial p_n."""
+    def values(self, n: int, x: ArrayLike) -> NDArray[np.float64]:
+        """p_0..p_n at ``x``, shape ``(n + 1,) + x.shape``, from one pass of
+        the recurrence."""
         if n >= len(self.rec_a) + 1:
             raise DomainError(
                 f"OrthoPolySystem holds degrees <= {len(self.rec_a)}, asked for {n}"
             )
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        prev = np.zeros_like(x)
-        cur = np.ones_like(x)
+        p = np.zeros((n + 2,) + x.shape)  # p[0] is p_{-1} = 0
+        p[1] = 1.0
         for k in range(n):
-            prev, cur = cur, (x - self.rec_a[k]) * cur - (self.rec_b[k] if k > 0 else 0.0) * prev
-        return float(cur) if scalar else cur
+            p[k + 2] = (x - self.rec_a[k]) * p[k + 1] - self.rec_b[k] * p[k]
+        return p[1:]
+
+    def eval(self, n: int, x: ArrayLike) -> NDArray[np.float64] | float:
+        """Value of the monic polynomial p_n."""
+        p = self.values(n, x)[n]
+        return float(p) if p.ndim == 0 else p
+
+    def kernel(self, x: ArrayLike, y: ArrayLike) -> float | NDArray[np.float64]:
+        r"""$K_N(x, y) = w(y) \sum_{k<N} p_k(x)\, p_k(y) / h_k$, summed in
+        degree order, $N$ = ``len(rec_a)``; ``x`` and ``y`` broadcast."""
+        n = len(self.rec_a)
+        y = np.asarray(y, dtype=float)
+        px, py = self.values(n - 1, x), self.values(n - 1, y)
+        out = self.weight(y) * sum(px[k] * py[k] / self.norms[k] for k in range(n))
+        return float(out) if out.ndim == 0 else out
 
 
 def op_from_weight(
@@ -357,8 +371,7 @@ def cd_check(sys: OrthoPolySystem, n: int, x: float, y: float) -> tuple[float, f
         raise DomainError("cd_check requires x != y (confluent form not available)")
     if n < 1:
         raise DomainError(f"cd_check requires n >= 1, got {n}")
-    px = np.array([sys.eval(k, x) for k in range(n + 1)])
-    py = np.array([sys.eval(k, y) for k in range(n + 1)])
+    px, py = sys.values(n, x), sys.values(n, y)
     h = sys.norms
     lhs = float(np.sum(px[:n] * py[:n] / h[:n]))
     rhs = (px[n] * py[n - 1] - px[n - 1] * py[n]) / ((x - y) * h[n - 1])

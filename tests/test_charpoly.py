@@ -33,7 +33,7 @@ from biortho import (
     sample_spectra,
 )
 from biortho import charpoly
-from biortho.charpoly import _CHUNK, _assemble, _eigvalsh, _triangle
+from biortho.charpoly import _CHUNK, _eigvalsh, _normals, _triangle
 from biortho.errors import CapacityError
 from biortho.numerics import max_gram_size
 
@@ -70,10 +70,32 @@ class TestSourceModel:
 
 
 def _models(n):
-    """One model of each kind at size n (every closed-form branch and the
-    LAPACK branch of the eigensolve, at n = 1..4)."""
-    a = (0.3, 1.1, 0.6, 2.0)[:n]
+    """One model of each kind at size n <= 6 (every closed-form branch of
+    the eigensolve at n = 1..3, LAPACK above)."""
+    a = (0.3, 1.1, 0.6, 2.0, 0.0, 1.4)[:n]
     return SourceModel("hermitian", n, a), SourceModel("chiral", n, a, alpha=1)
+
+
+def _matrices(m, seed, start, count):
+    """(count, n, n) full matrices of the model, formed here from the
+    sampler's normals: ``A/2 + H`` with H's diagonal, then the real and
+    imaginary parts of its strict upper triangle in row-major order, or
+    ``X^dag X``."""
+    z = _normals(seed, start, count, m.stride)
+    n = m.n
+    if m.kind == "hermitian":
+        noff = n * (n - 1) // 2
+        iu, ju = np.triu_indices(n, k=1)
+        h = np.zeros((count, n, n), dtype=complex)
+        h[:, np.arange(n), np.arange(n)] = (z[:n] * math.sqrt(0.5) + np.asarray(m.a)[:, None] / 2).T
+        re, im = z[n : n + noff] * 0.5, z[n + noff :] * 0.5
+        h[:, iu, ju] = (re + 1j * im).T
+        h[:, ju, iu] = (re - 1j * im).T
+        return h
+    g = z.reshape(2, n + m.alpha, n, count) * math.sqrt(0.5)
+    g[0, np.arange(n), np.arange(n)] += np.sqrt(np.asarray(m.a))[:, None]
+    x = np.moveaxis(g[0] + 1j * g[1], -1, 0)
+    return x.conj().transpose(0, 2, 1) @ x
 
 
 class TestSampling:
@@ -86,27 +108,36 @@ class TestSampling:
                     assert np.array_equal(sample_matrix(m, seed=9, index=i), bulk[i])
         # and where the bulk draw spans two chunks: the last sample of the
         # first, the first of the second, and one mid-chunk
-        for n in (2, 3):
+        for n in (2, 3, 4, 6):
             for m in _models(n):
                 bulk = sample_spectra(m, seed=9, count=_CHUNK + 4)
                 for i in (_CHUNK - 1, _CHUNK, 40_000):
                     assert np.array_equal(sample_matrix(m, seed=9, index=i), bulk[i])
 
     def test_triangle_matches_assembled_matrices(self):
-        # the N <= 3 path never forms the matrices; its lower triangle is
-        # the assembled one, bitwise for the Hermitian model (the same
+        # the sampler never forms the matrices; its lower triangle is that
+        # of the full ones, bitwise for the Hermitian model (the same
         # elementwise operations) and to rounding for the chiral X^dag X
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4, 6):
             il, jl = np.tril_indices(n)
             for m in _models(n):
                 re, im = _triangle(m, seed=13, start=7, count=5000)
-                low = _assemble(m, seed=13, start=7, count=5000)[:, il, jl].T
+                low = _matrices(m, seed=13, start=7, count=5000)[:, il, jl].T
                 if m.kind == "hermitian":
                     assert re.tobytes() == np.ascontiguousarray(low.real).tobytes()
                     assert im.tobytes() == np.ascontiguousarray(low.imag).tobytes()
                 else:
                     scale = np.max(np.abs(low), axis=0)
                     assert np.max(np.abs(re + 1j * im - low) / scale) <= 1e-14
+
+    def test_hermitian_lapack_bitwise(self):
+        # n >= 4 hands LAPACK the lower triangle alone; it reads nothing else,
+        # so the spectra are those of the full matrices, bit for bit
+        for n in (4, 6):
+            m = _models(n)[0]
+            got = sample_spectra(m, seed=21, count=3000, start=11)
+            want = np.linalg.eigvalsh(_matrices(m, seed=21, start=11, count=3000))
+            assert got.tobytes() == want.tobytes()
 
     def test_worker_count_bitwise_invariance(self):
         m = SourceModel("chiral", 2, (0.3, 1.1), alpha=1)

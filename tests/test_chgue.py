@@ -327,6 +327,22 @@ class TestKernel:
                 ref = mp_kernel(alpha, a, x, y)
                 assert chgue_kernel(p, x, y) == pytest.approx(ref, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("alpha", [0.0, 2.0])
+    @pytest.mark.parametrize("a", [(10.0,), (20.0,), (8.0, 7.5, 7.0)],
+                             ids=["10", "20", "8,7.5,7"])
+    def test_large_sources_against_mpmath(self, a, alpha):
+        # large sources, where an alternating series in the sources cancels
+        # like e^{2 max a} (an uncentred Krylov x Laguerre column lost 3e-1
+        # at a = (20,), alpha = 2); type I pointwise, measured at most 1.9e-14,
+        # and the kernel, measured at most 1.5e-13
+        p = ChgueParams(alpha, a)
+        y = np.array([0.1, 0.7, 4.0, 12.0, 30.0])
+        ref = np.array([mp_type_one(alpha, a, v) for v in y])
+        assert np.max(np.abs(chgue_type_one(p)(y) - ref) / np.abs(ref)) <= 1e-13
+        for x, y in [(0.7, 4.0), (12.0, 3.0), (30.0, 12.0), (4.0, 4.0)]:
+            ref = mp_kernel(alpha, a, x, y)
+            assert chgue_kernel(p, x, y) == pytest.approx(ref, rel=1e-12, abs=0)
+
     def test_coincident_sources(self):
         # coincident sources against the confluent generic kernel
         for alpha, b in ((0.0, 0.7), (0.5, 1.0)):

@@ -275,15 +275,25 @@ class TestCorrAndSample:
         (["kernel", "--alpha", "1", "--a", "1.1,0.4", "--grid", "0.5:2.5:4"], "x,y,K"),
         (["poly", "--a", "1.3,0.6", "--kind", "II", "--grid", "0:4:5"], "x,value"),
         (["corr", "--a", "1.0,0.4", "--points", "0.8,2.2"], "x1,x2,rho"),
+        (["sample", "--alpha", "1", "--a", "0.5", "--samples", "50", "--seed", "3"],
+         "lambda1"),
+        (["sample", "--alpha", "1", "--a", "0.5,1.5,0.2", "--samples", "50", "--seed", "3"],
+         "lambda1,lambda2,lambda3"),
     ],
 )
 def test_csv_bytes_are_per_row_joins(capsys, argv, header):
     # the CSV table is formatted in one pass; its bytes are those of a
-    # per-row %.17g join of the same values, read from the JSON output
+    # per-row %.17g join of the same values, read from the JSON output (so
+    # the JSON of sample holds each draw's whole spectrum, N = 1, 2 and 3)
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == EXIT_OK
     doc = json.loads(out)
-    rows = [[*g, v] for g, v in zip(doc["grid"], doc["values"])]
+    if argv[0] == "sample":
+        # one row per draw: its index in grid, its whole spectrum in values
+        assert doc["grid"] == list(range(len(doc["values"])))
+        rows = doc["values"]
+    else:
+        rows = [[*g, v] for g, v in zip(doc["grid"], doc["values"])]
     code, out, _ = run(capsys, *argv)
     assert code == EXIT_OK
     want = header + "\n" + "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows)

@@ -154,11 +154,17 @@ class TestKernel:
             n,
             quad=gauss_laguerre(64, alpha),
         )
-        for x, y in [(0.5, 1.5), (2.0, 4.5)]:
+        points = [(0.5, 1.5), (2.0, 4.5)]
+        for x, y in points:
             cd = w(y) * sum(
                 sys.eval(k, x) * sys.eval(k, y) / sys.norms[k] for k in range(n)
             )
             assert kernel_eval(kd, x, y) == pytest.approx(cd, rel=1e-10)
+            # the system's own sum, a float for scalars, the same in a table
+            assert sys.kernel(x, y) == pytest.approx(cd, rel=1e-14, abs=0)
+        xs, ys = np.array(points).T
+        assert np.array_equal(sys.kernel(xs[:, None], ys[None, :]).diagonal(),
+                              [sys.kernel(x, y) for x, y in points])
 
 
 class TestPdfAndCorrelation:
@@ -272,6 +278,12 @@ class TestOrthoPolySystem:
         sys = op_from_weight(lambda t: np.exp(-t * t), Segment(-7.5, 7.5), 3)
         with pytest.raises(DomainError):
             sys.eval(5, 0.0)
+        with pytest.raises(DomainError):
+            sys.values(4, 0.0)
+        x = np.linspace(-2.0, 2.0, 6).reshape(2, 3)
+        p = sys.values(3, x)
+        assert p.shape == (4, 2, 3)
+        assert all(np.array_equal(p[k], sys.eval(k, x)) for k in range(4))
 
     def test_nonpositive_norm_raises(self):
         # an odd (sign-changing) weight has zeroth moment 0: h_0 <= 0
