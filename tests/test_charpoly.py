@@ -1,6 +1,7 @@
 """Monte Carlo sampling and the characteristic-polynomial-average oracles."""
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -80,7 +81,7 @@ def _matrices(m, seed, start, count):
     """(count, n, n) full matrices of the model, formed here from the
     sampler's normals: ``A/2 + H`` with H's diagonal, then the real and
     imaginary parts of its strict upper triangle in row-major order, or
-    ``X^dag X``."""
+    ``X^dag X`` by the ``einsum`` with which earlier versions sampled n >= 4."""
     z = _normals(seed, start, count, m.stride)
     n = m.n
     if m.kind == "hermitian":
@@ -95,7 +96,7 @@ def _matrices(m, seed, start, count):
     g = z.reshape(2, n + m.alpha, n, count) * math.sqrt(0.5)
     g[0, np.arange(n), np.arange(n)] += np.sqrt(np.asarray(m.a))[:, None]
     x = np.moveaxis(g[0] + 1j * g[1], -1, 0)
-    return x.conj().transpose(0, 2, 1) @ x
+    return np.einsum("sji,sjk->sik", x.conj(), x)
 
 
 class TestSampling:
@@ -130,14 +131,17 @@ class TestSampling:
                     scale = np.max(np.abs(low), axis=0)
                     assert np.max(np.abs(re + 1j * im - low) / scale) <= 1e-14
 
-    def test_hermitian_lapack_bitwise(self):
+    def test_lapack_bitwise(self):
         # n >= 4 hands LAPACK the lower triangle alone; it reads nothing else,
-        # so the spectra are those of the full matrices, bit for bit
+        # so the spectra are those of the full matrices, bit for bit: for the
+        # chiral model, those of the einsum X^dag X earlier versions formed
         for n in (4, 6):
-            m = _models(n)[0]
-            got = sample_spectra(m, seed=21, count=3000, start=11)
-            want = np.linalg.eigvalsh(_matrices(m, seed=21, start=11, count=3000))
-            assert got.tobytes() == want.tobytes()
+            herm, chiral = _models(n)
+            for m in (herm, chiral, replace(chiral, alpha=0), replace(chiral, alpha=3)):
+                for start, count in ((11, 3000), (5, 1)):
+                    got = sample_spectra(m, seed=21, count=count, start=start)
+                    want = np.linalg.eigvalsh(_matrices(m, seed=21, start=start, count=count))
+                    assert got.tobytes() == want.tobytes()
 
     def test_worker_count_bitwise_invariance(self):
         m = SourceModel("chiral", 2, (0.3, 1.1), alpha=1)
