@@ -23,22 +23,10 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy
 
-from . import __version__
-from .chgue import (
-    ChgueParams,
-    ConfluentSpec,
-    chgue_gram,
-    chgue_kernel,
-    chgue_type_one,
-    chgue_type_two,
-    ensemble_spec,
-    kernel_sum_check,
-    rank_decomposition,
-    reference_spec,
-    staircase_functions,
-)
-from .charpoly import SourceModel, charpoly_estimate, rho1_report, sample_spectra
-from .ensembles import HalfLine, Segment, build_kernel, kernel_eval, op_from_weight
+from . import __version__, checks
+from .chgue import ChgueParams, ConfluentSpec, chgue_kernel, chgue_type_one, chgue_type_two
+from .charpoly import SourceModel, sample_spectra
+from .ensembles import HalfLine, Segment, op_from_weight
 from .errors import DomainError, NumericError
 from .multipoly import Composition
 from .numerics import gauss_laguerre
@@ -47,18 +35,6 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
-
-_DEFAULT_TOLS = {
-    "gram": 1e-8,
-    "kernel": 1e-7,
-    "trace": 1e-6,
-    "ortho": 1e-8,
-    "biortho": 1e-8,
-    "corollary": 1e-6,
-    "rankdecomp": 1e-6,
-    "mc-sigma": 3.0,
-    "mc-bins": 0.95,
-}
 
 
 def _number(text: str, kind: type = float):
@@ -89,7 +65,7 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def _parse_overrides(items: Sequence[str] | None) -> dict:
-    tols = dict(_DEFAULT_TOLS)
+    tols = dict(checks.DEFAULT_TOLS)
     for item in items or []:
         if "=" not in item:
             raise DomainError(f"--tol-override expects KEY=VAL, got {item!r}")
@@ -124,29 +100,25 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", default="csv", choices=["csv", "json"])
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--seed", type=int, default=0)
+        return p
 
-    p = sub.add_parser("kernel", help="tabulate K_N on a grid")
-    common(p)
+    p = common(sub.add_parser("kernel", help="tabulate K_N on a grid"))
     p.add_argument("--grid", default="0:8:17", help="inclusive span min:max:count")
     p.add_argument("--cross-check", action="store_true",
                    help="also compute the generic-path kernel and report the "
                         "max relative deviation")
 
-    p = sub.add_parser("poly", help="tabulate a type I/II function")
-    common(p)
+    p = common(sub.add_parser("poly", help="tabulate a type I/II function"))
     p.add_argument("--kind", required=True, choices=["I", "II"])
     p.add_argument("--grid", default="0:10:11")
 
-    p = sub.add_parser("corr", help="n-point correlation at given points")
-    common(p)
+    p = common(sub.add_parser("corr", help="n-point correlation at given points"))
     p.add_argument("--points", required=True, help="comma-separated coordinates")
 
-    p = sub.add_parser("sample", help="draw eigenvalue spectra")
-    common(p)
+    p = common(sub.add_parser("sample", help="draw eigenvalue spectra"))
     p.add_argument("--samples", type=int, default=1)
 
-    p = sub.add_parser("verify", help="run a named invariant suite")
-    common(p)
+    p = common(sub.add_parser("verify", help="run a named invariant suite"))
     p.add_argument("--suite", required=True,
                    choices=["gram", "kernel", "ortho", "corollary", "rankdecomp", "mc"])
     p.add_argument("--samples", type=int, default=100000)
@@ -206,18 +178,12 @@ def _emit(args, header: list[str], rows: Sequence[Sequence[float]], params: dict
         body = (row_format * len(table)) % tuple(table.ravel().tolist())
         text = ",".join(header) + "\n" + body
     else:
+        versions = {"biortho": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
         doc = {
             "params": params,
             "grid": list(range(len(table))) if by_index else table[:, :-1].tolist(),
             "values": (table if by_index else table[:, -1]).tolist(),
-            "metadata": {
-                "seed": args.seed,
-                "versions": {
-                    "biortho": __version__,
-                    "numpy": np.__version__,
-                    "scipy": scipy.__version__,
-                },
-            },
+            "metadata": {"seed": args.seed, "versions": versions},
         }
         if extra:
             doc["metadata"].update(extra)
@@ -249,8 +215,7 @@ def _cmd_kernel(args) -> int:
     if args.cross_check:
         if args.ensemble not in ("chgue", "confluent"):
             raise DomainError("--cross-check applies to the chgue and confluent ensembles only")
-        ref = kernel_eval(build_kernel(reference_spec(_chgue_params(args))), xs, ys)
-        dev = float(np.max(np.abs(values - ref) / np.maximum(np.abs(ref), 1e-12)))
+        dev = checks.kernel_deviation(_chgue_params(args), xs, ys)
         extra = {"cross_check_max_rel_dev": dev}
         print(f"cross-check max relative deviation: {dev:.3e}", file=sys.stderr)
     _emit(args, ["x", "y", "K"], rows, _params_dict(args), extra)
@@ -259,30 +224,23 @@ def _cmd_kernel(args) -> int:
 
 def _cmd_poly(args) -> int:
     grid = _parse_grid(args.grid)
-    selftest = None
     if args.ensemble in ("chgue", "confluent"):
         params = _chgue_params(args)
         if args.kind == "II":
             f = chgue_type_two(params)
         else:
-            f = chgue_type_one(params)
-            rule = gauss_laguerre(64, params.alpha)
-            m = float(np.dot(rule.dx_weights, rule.nodes ** (params.n - 1) * f(rule.nodes)))
-            selftest = m
+            f, n, rule = chgue_type_one(params), params.n, gauss_laguerre(64, params.alpha)
     else:
         sys_, n = _op_system(args)
+        rule = sys_.quad
         if args.kind == "II":
             f = lambda x: sys_.eval(n, x)
         else:
             h = sys_.norms[n - 1]
             f = lambda x: sys_.weight(np.asarray(x, dtype=float)) * sys_.eval(n - 1, x) / h
-            rule = sys_.quad
-            selftest = float(
-                np.dot(rule.dx_weights, rule.nodes ** (n - 1) * f(rule.nodes))
-            )
-    if selftest is not None:
-        print(f"type I self-test: final moment = {selftest:.12g} (should be 1)",
-              file=sys.stderr)
+    if args.kind == "I":
+        final = checks.moments(f, rule, n)[-1]
+        print(f"type I self-test: final moment = {final:.12g} (should be 1)", file=sys.stderr)
     rows = np.column_stack([grid, f(grid)])
     _emit(args, ["x", "value"], rows, _params_dict(args))
     return EXIT_OK
@@ -303,25 +261,23 @@ def _cmd_corr(args) -> int:
 def _cmd_sample(args) -> int:
     if args.samples < 1:
         raise DomainError(f"--samples must be >= 1, got {args.samples}")
-    if args.ensemble == "chgue":
-        if not args.a:
-            raise DomainError("--a is required for sampling the chgue ensemble")
-        a = tuple(_parse_floats(args.a))
-        model = SourceModel("chiral", len(a), a, args.alpha)
+    if args.ensemble in ("chgue", "confluent"):
+        params = _chgue_params(args)
+        model = SourceModel("chiral", params.n, params.a, params.alpha)
     elif args.ensemble == "hermite":
         n = args.n or 2
         model = SourceModel("hermitian", n, (0.0,) * n)
     else:
-        raise DomainError("sample supports the chgue and hermite ensembles")
+        raise DomainError("sample supports the chgue, confluent and hermite ensembles")
     spectra = sample_spectra(model, args.seed, args.samples)
     header = [f"lambda{i+1}" for i in range(model.n)]
     _emit(args, header, spectra, _params_dict(args), by_index=True)
     return EXIT_OK
 
 
-def _report(checks: list[tuple[str, float, float]]) -> int:
+def _report(residuals: dict[str, float], tols: list[float]) -> int:
     failed = False
-    for name, residual, tol in checks:
+    for (name, residual), tol in zip(residuals.items(), tols, strict=True):
         ok = residual <= tol
         failed |= not ok
         print(f"{'PASS' if ok else 'FAIL'} {name} residual={residual:.3e} tol={tol:.3e}")
@@ -331,84 +287,11 @@ def _report(checks: list[tuple[str, float, float]]) -> int:
 
 def _cmd_verify(args) -> int:
     tols = _parse_overrides(args.tol_override)
-    rng = np.random.default_rng(args.seed)
+    tols["mc-bins"] = 1.0 - tols["mc-bins"]  # the mc check reads the fraction outside
     if args.ensemble == "chgue" and not args.a:
         args.a = "1.3,0.7,0.2"
-    checks: list[tuple[str, float, float]] = []
-    if args.suite == "gram":
-        params = _chgue_params(args)
-        closed = chgue_gram(params)
-        quad = ensemble_spec(params).gram
-        dev = float(np.max(np.abs(closed - quad) / np.maximum(np.abs(closed), 1e-12)))
-        checks.append(("gram closed-form vs quadrature", dev, tols["gram"]))
-    elif args.suite == "kernel":
-        params = _chgue_params(args)
-        kd = build_kernel(reference_spec(params))
-        x, y = rng.uniform(0.2, 6.0, size=(5, 2)).T
-        ref = kernel_eval(kd, x, y)
-        dev = float(np.max(np.abs(chgue_kernel(params, x, y) - ref)
-                           / np.maximum(np.abs(ref), 1e-12)))
-        checks.append(("closed-form kernel vs generic path", dev, tols["kernel"]))
-        rule = gauss_laguerre(64, params.alpha)
-        trace = float(np.dot(rule.dx_weights, kernel_eval(kd, rule.nodes, rule.nodes)))
-        checks.append(("kernel trace = N", abs(trace - params.n), tols["trace"]))
-    elif args.suite == "ortho":
-        params = _chgue_params(args)
-        rule = gauss_laguerre(64, params.alpha)
-        qv = chgue_type_one(params)(rule.nodes)
-        moments = [float(np.dot(rule.dx_weights, rule.nodes**j * qv)) for j in range(params.n)]
-        res = max(abs(m) for m in moments[:-1]) if params.n > 1 else 0.0
-        checks.append(("type I moments vanish", res, tols["ortho"]))
-        checks.append(("type I final moment = 1", abs(moments[-1] - 1.0), tols["ortho"]))
-        # against every xi of the reference, derivative weights included
-        pv = chgue_type_two(params)(rule.nodes)
-        res2 = 0.0
-        for xi in reference_spec(params).xi:
-            res2 = max(res2, abs(float(np.dot(rule.dx_weights, xi(rule.nodes) * pv))))
-        checks.append(("type II first moments vanish", res2, tols["ortho"]))
-        # P_i on the first i sources (P_0 = 1) and Q_{j+1} on the first j + 1
-        a_sorted = tuple(sorted(params.a, reverse=True))
-        pv, qv = staircase_functions(ChgueParams(params.alpha, a_sorted), rule.nodes, rule.nodes)
-        gram = (pv * rule.dx_weights) @ qv.T
-        dev = float(np.max(np.abs(gram - np.eye(params.n))))
-        checks.append(("staircase biorthogonality", dev, tols["biortho"]))
-    elif args.suite == "corollary":
-        params = _chgue_params(args)
-        a_sorted = tuple(sorted(params.a, reverse=True))
-        params = ChgueParams(params.alpha, a_sorted)
-        dev = 0.0
-        for _ in range(5):
-            x, y = rng.uniform(0.2, 6.0, size=2)
-            kernel, total = kernel_sum_check(params, x, y)
-            dev = max(dev, abs(kernel - total) / max(abs(kernel), 1e-12))
-        checks.append(("kernel = staircase sum", dev, tols["corollary"]))
-    elif args.suite == "rankdecomp":
-        for n, r, a in ((3, 1, (0.9, 0.0, 0.0)), (4, 2, (1.2, 0.5, 0.0, 0.0))):
-            params = ChgueParams(args.alpha, a)
-            kd = build_kernel(reference_spec(params))
-            x, y = 0.5, 1.4
-            full, _, _ = rank_decomposition(params, r, x, y)
-            ref = kernel_eval(kd, x, y)
-            dev = abs(full - ref) / max(abs(ref), 1e-12)
-            checks.append((f"rank decomposition N={n} r={r}", dev, tols["rankdecomp"]))
-    elif args.suite == "mc":
-        params = _chgue_params(args)
-        if params.alpha != int(params.alpha):
-            raise DomainError("mc suite needs integer alpha for chiral sampling")
-        model = SourceModel("chiral", params.n, params.a, int(params.alpha))
-        lam = sample_spectra(model, args.seed, args.samples)
-        worst = 0.0
-        for x in (0.8, 2.5):
-            est = charpoly_estimate(lam, x, args.seed)
-            exact = chgue_type_two(params)(x)
-            worst = max(worst, abs(est.value - exact) / max(est.std_error, 1e-300))
-        checks.append(("MC <det> vs type II (sigmas)", worst, tols["mc-sigma"]))
-        report = rho1_report(model, lam, bins=40)
-        checks.append(
-            ("rho1 histogram bins outside 3 sigma (fraction)",
-             1.0 - report.fraction_within, 1.0 - tols["mc-bins"])
-        )
-    return _report(checks)
+    suite, keys = checks.SUITES[args.suite]
+    return _report(suite(_chgue_params(args), args.seed, args.samples), [tols[k] for k in keys])
 
 
 def _with_config(args_in: list[str]) -> list[str]:

@@ -121,11 +121,8 @@ def xi_family(ws: WeightSystem, comp: Composition) -> list[Callable]:
 
 def _moment_matrix(ws: WeightSystem, comp: Composition, rows: int) -> NDArray[np.float64]:
     """rows x |n| matrix M[j, col] = integral x^j xi_col dx in block order."""
-    cols = []
-    for i, ni in enumerate(comp.parts):
-        for p in range(ni):
-            cols.append(np.array([ws.moment(i, j + p) for j in range(rows)]))
-    return np.column_stack(cols) if cols else np.zeros((rows, 0))
+    cols = [(i, p) for i, ni in enumerate(comp.parts) for p in range(ni)]
+    return np.array([[ws.moment(i, j + p) for i, p in cols] for j in range(rows)])
 
 
 def _guard_condition(m: NDArray, what: str) -> None:
@@ -157,13 +154,12 @@ class TypeIFunction:
 
     def __call__(self, x) -> NDArray[np.float64] | float:
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        total = np.zeros_like(np.atleast_1d(x))
         xa = np.atleast_1d(x)
+        total = np.zeros_like(xa)
         for i, coeffs in enumerate(self.blocks):
             if coeffs.size:
                 total += self.system.weights[i](xa) * npoly.polyval(xa, coeffs)
-        return float(total[0]) if scalar else total
+        return float(total[0]) if x.ndim == 0 else total
 
 
 @dataclass(frozen=True)
@@ -199,14 +195,8 @@ def type_one(ws: WeightSystem, comp: Composition) -> TypeIFunction:
     check_gram_size(n, "type_one composition weight")
     m = _moment_matrix(ws, comp, n)
     _guard_condition(m, "type_one")
-    rhs = np.zeros(n)
-    rhs[-1] = 1.0
-    coeffs = solve(m, rhs)
-    blocks = []
-    pos = 0
-    for ni in comp.parts:
-        blocks.append(np.array(coeffs[pos : pos + ni]))
-        pos += ni
+    # the moments against 1, ..., x^(N-2) vanish and the last one is 1
+    blocks = np.split(solve(m, np.eye(n)[-1]), np.cumsum(comp.parts)[:-1])
     return TypeIFunction(composition=comp, blocks=tuple(blocks), system=ws)
 
 
@@ -222,27 +212,19 @@ def type_two(ws: WeightSystem, comp: Composition) -> TypeIIPolynomial:
         )
     if n == 0:
         return TypeIIPolynomial(composition=comp, coeffs=np.array([1.0]))
-    rows = np.empty((n, n))
-    rhs = np.empty(n)
-    r = 0
-    for i, ni in enumerate(comp.parts):
-        for j in range(ni):
-            rows[r] = [ws.moment(i, j + k) for k in range(n)]
-            rhs[r] = -ws.moment(i, j + n)
-            r += 1
-    _guard_condition(rows, "type_two")
-    low = solve(rows, rhs)
+    # row (i, j) holds the moments of x^j w_i against 1, x, ..., x^n
+    m = _moment_matrix(ws, comp, n + 1)
+    _guard_condition(m[:n].T, "type_two")
+    low = solve(m[:n].T, -m[n])
     return TypeIIPolynomial(composition=comp, coeffs=np.append(low, 1.0))
 
 
 def check_ortho_one(q: TypeIFunction) -> NDArray[np.float64]:
     r"""Quadrature values of $\int x^j Q$, $j = 0..N-1$ (the last should be
     1, the rest 0); returned raw for the caller to compare."""
-    ws = q.system
-    t = ws.quad.nodes
-    vals = ws.quad.dx_weights * q(t)
-    n = q.composition.weight
-    return np.array([float(np.dot(vals, t**j)) for j in range(n)])
+    t = q.system.quad.nodes
+    vals = q.system.quad.dx_weights * q(t)
+    return np.array([float(np.dot(vals, t**j)) for j in range(q.composition.weight)])
 
 
 def check_ortho_two(
@@ -252,12 +234,8 @@ def check_ortho_two(
     blocks concatenated; all should vanish."""
     t = ws.quad.nodes
     pv = p(t)
-    out = []
-    for i, ni in enumerate(comp.parts):
-        wv = ws.quad.dx_weights * ws.weights[i](t) * pv
-        for j in range(ni):
-            out.append(float(np.dot(wv, t**j)))
-    return np.array(out)
+    wv = [ws.quad.dx_weights * w(t) * pv for w in ws.weights]
+    return np.array([float(np.dot(wv[i], t**j)) for i, ni in enumerate(comp.parts) for j in range(ni)])
 
 
 def staircase_path(comp: Composition) -> list[Composition]:

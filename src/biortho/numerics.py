@@ -15,11 +15,10 @@ Conventions
   a Gauss–Legendre rule approximates the plain integral over ``[a, b]``.
   Use :attr:`QuadratureRule.dx_weights` when a plain ``dx`` measure is needed
   on the half line.
-* All arithmetic is double precision; Gram-matrix sizes are capped at
-  ``N <= 12`` by default (monomial Gram matrices turn ill-conditioned beyond
-  that).  The cap can be raised via the ``BIORTHO_MAX_N`` environment
-  variable; results past the default cap are not covered by the accuracy
-  contracts.
+* All arithmetic is double precision; ensemble sizes are capped at
+  ``N <= 12`` by default, the largest size any accuracy contract was tested
+  at (each states its own range).  ``BIORTHO_MAX_N`` raises the cap; results
+  past 12 are covered by no contract.
 """
 from __future__ import annotations
 

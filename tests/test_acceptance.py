@@ -13,38 +13,33 @@ import pytest
 from biortho import (
     ChgueParams,
     Composition,
-    ConfluentSpec,
     EnsembleSpec,
     HalfLine,
     Segment,
     SourceModel,
     WeightSystem,
-    avg_charpoly,
     biortho_sequence,
     build_kernel,
     cd_check,
-    chgue_gram,
+    charpoly_estimate,
+    check_ortho_one,
+    check_ortho_two,
     chgue_kernel,
     chgue_type_one,
     chgue_type_two,
-    confluent_weights,
     correlation,
     correlation_by_marginal,
     ensemble_spec,
     gauss_laguerre,
-    kernel_eval,
     kernel_from_ratio,
     laguerre,
     op_from_weight,
-    rank_decomposition,
-    residue_kernel,
     rho1_check,
     sample_spectra,
     type_one,
     type_two,
-    w_alpha,
-    xi_family,
 )
+from biortho import checks
 from biortho.charpoly import DEFAULT_EPS_SCHEDULE
 from biortho.numerics import log_gamma
 
@@ -64,10 +59,7 @@ def test_criterion_1_gram_closed_form():
             a = np.sort(rng.uniform(0.05, 2.0, size=n))[::-1]
             while np.min(np.diff(np.sort(a))) < 1e-3:
                 a = np.sort(rng.uniform(0.05, 2.0, size=n))[::-1]
-            p = ChgueParams(alpha, tuple(a))
-            closed = chgue_gram(p)
-            quad = ensemble_spec(p).gram
-            worst = max(worst, float(np.max(np.abs(closed - quad) / np.abs(closed))))
+            worst = max(worst, *checks.gram(ChgueParams(alpha, tuple(a))).values())
     dt = time.perf_counter() - t0
     report(
         1,
@@ -129,8 +121,9 @@ def test_criterion_3_charpoly_averages_mc():
     samples = 10**6
     points = (0.5, 1.0, 2.0, 3.5, 5.0)
     worst_p = 0.0  # in units of the allowed tolerance
+    lam = sample_spectra(model, seed=301, count=samples, workers=2)
     for x in points:
-        est = avg_charpoly(model, x, samples, seed=301, workers=2)
+        est = charpoly_estimate(lam, x, 301)
         tol = max(3.0 * est.std_error, 1e-3)
         worst_p = max(worst_p, abs(est.value - p_exact(x)) / tol)
     # Q: shared spectra, per-eps Sokhotski-Plemelj values, polynomial
@@ -171,19 +164,8 @@ def test_criterion_4_kernel_staircase_sum():
     worst = 0.0
     for n in (2, 3):
         a = tuple(sorted(rng.uniform(0.1, 2.0, size=n), reverse=True))
-        p = ChgueParams(0.5, a)
-        for _ in range(5):
-            x, y = rng.uniform(0.2, 6.0, size=2)
-            kernel = residue_kernel(p, float(x), float(y))
-            total = 0.0
-            for k in range(1, n + 1):
-                pk = (
-                    chgue_type_two(ChgueParams(p.alpha, a[: k - 1]))(float(x))
-                    if k > 1
-                    else 1.0
-                )
-                total += pk * chgue_type_one(ChgueParams(p.alpha, a[:k]))(float(y))
-            worst = max(worst, abs(kernel - total) / max(abs(kernel), 1e-12))
+        x, y = rng.uniform(0.2, 6.0, size=(5, 2)).T
+        worst = max(worst, *checks.staircase_sum(ChgueParams(0.5, a), x, y).values())
     dt = time.perf_counter() - t0
     report(
         4,
@@ -196,36 +178,12 @@ def test_criterion_5_orthogonality_suites():
     """Type I / type II defining moments and staircase biorthogonality, for
     the chGUE closed forms (N <= 4) and a two-weight AT system."""
     t0 = time.perf_counter()
-    worst_i, worst_norm, worst_ii, worst_bi = 0.0, 0.0, 0.0, 0.0
+    # type I residual, normalization, type II residual, biorthogonality
+    worst = np.zeros(4)
     # chGUE closed forms
-    alpha = 1.0
     for n in (2, 3, 4):
-        a = tuple(1.8 - 0.4 * k for k in range(n))
-        p = ChgueParams(alpha, a)
-        rule = gauss_laguerre(64, alpha)
-        q = chgue_type_one(p)
-        moments = [
-            float(np.dot(rule.dx_weights, rule.nodes**j * q(rule.nodes)))
-            for j in range(n)
-        ]
-        worst_i = max(worst_i, max(abs(m) for m in moments[:-1]))
-        worst_norm = max(worst_norm, abs(moments[-1] - 1.0))
-        poly = chgue_type_two(p)
-        for ai in a:
-            wv = w_alpha(alpha, ai)(rule.nodes)
-            worst_ii = max(
-                worst_ii, abs(float(np.dot(rule.dx_weights, wv * poly(rule.nodes))))
-            )
-        for i in range(n):
-            pv = (
-                chgue_type_two(ChgueParams(alpha, a[:i]))(rule.nodes)
-                if i
-                else np.ones(rule.n)
-            )
-            for j in range(n):
-                qv = chgue_type_one(ChgueParams(alpha, a[: j + 1]))(rule.nodes)
-                val = float(np.dot(rule.dx_weights, pv * qv))
-                worst_bi = max(worst_bi, abs(val - (1.0 if i == j else 0.0)))
+        p = ChgueParams(1.0, tuple(1.8 - 0.4 * k for k in range(n)))
+        worst = np.maximum(worst, list(checks.ortho(p).values()))
     # two-weight AT system
     ws = WeightSystem(
         weights=(
@@ -237,22 +195,17 @@ def test_criterion_5_orthogonality_suites():
         quad=gauss_laguerre(64, 0.0),
     )
     comp = Composition((2, 2))
-    q = type_one(ws, comp)
-    t = ws.quad.nodes
-    dxw = ws.quad.dx_weights
-    mom = [float(np.dot(dxw, t**j * q(t))) for j in range(comp.weight)]
-    worst_i = max(worst_i, max(abs(m) for m in mom[:-1]))
-    worst_norm = max(worst_norm, abs(mom[-1] - 1.0))
-    poly = type_two(ws, comp)
-    for i, ni in enumerate(comp.parts):
-        wv = dxw * ws.weights[i](t) * poly(t)
-        for j in range(ni):
-            worst_ii = max(worst_ii, abs(float(np.dot(wv, t**j))))
+    mom = check_ortho_one(type_one(ws, comp))
     ps, qs = biortho_sequence(ws, comp)
-    for i in range(comp.weight):
-        for j in range(comp.weight):
-            val = float(np.dot(dxw, ps[i](t) * qs[j](t)))
-            worst_bi = max(worst_bi, abs(val - (1.0 if i == j else 0.0)))
+    t = ws.quad.nodes
+    pv, qv = (np.array([f(t) for f in fs]) for fs in (ps, qs))
+    worst = np.maximum(worst, [
+        np.max(np.abs(mom[:-1])),
+        abs(mom[-1] - 1.0),
+        np.max(np.abs(check_ortho_two(type_two(ws, comp), ws, comp))),
+        checks.biorthogonality(pv, qv, ws.quad),
+    ])
+    worst_i, worst_norm, worst_ii, worst_bi = worst
     dt = time.perf_counter() - t0
     report(
         5,
@@ -335,26 +288,12 @@ def test_criterion_7_christoffel_darboux():
 
 def test_criterion_8_rank_decomposition():
     """Finite-rank source: unperturbed kernel plus rank-one corrections
-    against the independent confluent-path kernel."""
+    against the independent generic kernel of the confluent spec."""
     worst = 0.0
     rng = np.random.default_rng(108)
-    for n, r, a in ((3, 1, (0.9, 0.0, 0.0)), (4, 2, (1.2, 0.5, 0.0, 0.0))):
-        p = ChgueParams(1.0, a)
-        b = tuple(dict.fromkeys(a))
-        mult = tuple(sum(1 for v in a if v == bv) for bv in b)
-        ws, comp = confluent_weights(ConfluentSpec(b=b, m=Composition(mult)), 1.0)
-        xi = tuple(xi_family(ws, comp))
-        eta = tuple(
-            (lambda x, i=i: np.asarray(x, dtype=float) ** i) for i in range(n)
-        )
-        kd = build_kernel(
-            EnsembleSpec(n=n, interval=HalfLine(), eta=eta, xi=xi, quad=ws.quad)
-        )
-        for _ in range(5):
-            x, y = rng.uniform(0.3, 5.0, size=2)
-            full, _, _ = rank_decomposition(p, r, float(x), float(y))
-            ref = kernel_eval(kd, float(x), float(y))
-            worst = max(worst, abs(full - ref) / max(abs(ref), 1e-12))
+    for r, a in ((1, (0.9, 0.0, 0.0)), (2, (1.2, 0.5, 0.0, 0.0))):
+        x, y = rng.uniform(0.3, 5.0, size=(5, 2)).T
+        worst = max(worst, *checks.rank_split(ChgueParams(1.0, a), r, x, y).values())
     report(8, worst <= 1e-6, f"max relative deviation {worst:.3e} (tol 1e-6)")
 
 

@@ -1,5 +1,7 @@
 """Command-line interface: output formats, exit codes, and verify suites."""
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -266,6 +268,16 @@ class TestCorrAndSample:
         assert out1 == out2
         assert len(out1.strip().splitlines()) == 5
 
+    def test_sample_confluent(self, capsys):
+        # the confluent ensemble samples the chgue model at the repeated sources
+        common = ("--alpha", "1", "--samples", "5", "--seed", "3")
+        code, out, _ = run(capsys, "sample", "--ensemble", "confluent",
+                           "--b", "1.2,0.4", "--mult", "2,1", *common)
+        assert code == EXIT_OK
+        code, want, _ = run(capsys, "sample", "--a", "1.2,1.2,0.4", *common)
+        assert code == EXIT_OK
+        assert out.encode() == want.encode()
+
 
 @pytest.mark.parametrize(
     "argv, header",
@@ -307,14 +319,27 @@ class TestVerifySuites:
         assert "PASS gram" in out
         assert out.strip().splitlines()[-1] == "SUITE PASS"
 
-    def test_kernel_suite_passes(self, capsys):
-        code, out, _ = run(capsys, "verify", "--suite", "kernel")
+    @pytest.mark.parametrize("suite, flags, names", [
+        pytest.param("gram", (), ["gram closed-form vs quadrature"], id="gram"),
+        pytest.param("kernel", (), ["closed-form kernel vs generic path", "kernel trace = N"],
+                     id="kernel"),
+        pytest.param("ortho", (), ["type I moments vanish", "type I final moment = 1",
+                                   "type II first moments vanish", "staircase biorthogonality"],
+                     id="ortho"),
+        pytest.param("corollary", (), ["kernel = staircase sum"], id="corollary"),
+        pytest.param("rankdecomp", (), ["rank decomposition N=3 r=1", "rank decomposition N=4 r=2"],
+                     id="rankdecomp"),
+        pytest.param("mc", ("--alpha", "1", "--a", "0.3,1.1", "--samples", "20000", "--seed", "4"),
+                     ["MC <det> vs type II (sigmas)",
+                      "rho1 histogram bins outside 3 sigma (fraction)"], id="mc"),
+    ])
+    def test_suite_check_names(self, capsys, suite, flags, names):
+        # the exact, ordered check lines of every suite
+        code, out, _ = run(capsys, "verify", "--suite", suite, *flags)
         assert code == EXIT_OK
         lines = out.strip().splitlines()
         assert [line.split(" residual=")[0] for line in lines] == [
-            "PASS closed-form kernel vs generic path",
-            "PASS kernel trace = N",
-            "SUITE PASS",
+            *(f"PASS {name}" for name in names), "SUITE PASS",
         ]
 
     @pytest.mark.parametrize("source_args", [
@@ -353,7 +378,7 @@ class TestVerifySuites:
     def test_mc_suite_draws_once(self, capsys, monkeypatch):
         # one draw feeds both <det> estimates and the histogram; the printed
         # residuals equal those of three separate draws at the same seed
-        import biortho.cli as cli
+        import biortho.charpoly as charpoly
 
         draws = []
 
@@ -361,7 +386,7 @@ class TestVerifySuites:
             draws.append(args)
             return sample_spectra(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "sample_spectra", counting)
+        monkeypatch.setattr(charpoly, "sample_spectra", counting)
         code, out, _ = run(
             capsys,
             "verify", "--suite", "mc", "--alpha", "1", "--a", "0.3,1.1",
@@ -499,3 +524,15 @@ class TestErrorsAndConfig:
         line = out.strip().splitlines()[1]
         x, y, k = (float(v) for v in line.split(","))
         assert k == pytest.approx(chgue_kernel(p, x, y), rel=1e-12)
+
+
+def test_readme_command_lines_run(capsys):
+    # every `biortho ...` line of README's "## Command line" block exits 0
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)[1:]
+                for line in block.splitlines() if line.startswith("biortho ")]
+    assert commands
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_OK, (argv, err)
