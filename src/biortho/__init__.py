@@ -23,7 +23,6 @@ from .chgue import (
     ConfluentSpec,
     chgue_gram,
     chgue_kernel,
-    chgue_pdf,
     chgue_type_one,
     chgue_type_two,
     confluent_spec,
@@ -40,15 +39,12 @@ from .chgue import (
 )
 from .ensembles import (
     EnsembleSpec,
-    HalfLine,
     KernelData,
     OrthoPolySystem,
-    Segment,
     build_kernel,
     cd_check,
     correlation,
     correlation_by_marginal,
-    default_rule,
     kernel_eval,
     op_from_weight,
     pdf_eval,
@@ -56,7 +52,6 @@ from .ensembles import (
 from .errors import (
     BiorthoError,
     CapacityError,
-    ConfluentError,
     ConvergenceError,
     DomainError,
     NumericError,
@@ -88,7 +83,6 @@ from .numerics import (
     log_gamma,
     max_gram_size,
     solve,
-    vandermonde,
 )
 
 __version__ = "0.1.0"

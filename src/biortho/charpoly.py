@@ -47,7 +47,7 @@ from numpy.typing import NDArray
 from scipy.special import ndtri
 
 from .chgue import ChgueParams, chgue_kernel, staircase_functions
-from .ensembles import Segment, op_from_weight
+from .ensembles import op_from_weight
 from .errors import DomainError, NumericWarning, UnsupportedModelError
 from .numerics import bidiagonal_series, check_gram_size, gauss_legendre
 
@@ -559,7 +559,7 @@ def _kernel_diagonal_reference(m: SourceModel) -> Callable:
         raise DomainError(
             "rho1 reference for the Hermitian model is only available at A = 0"
         )
-    sys = op_from_weight(lambda t: np.exp(-t * t), Segment(-7.5, 7.5), m.n)
+    sys = op_from_weight(lambda t: np.exp(-t * t), gauss_legendre(64, -7.5, 7.5), m.n)
     return lambda xs: sys.kernel(np.atleast_1d(xs), np.atleast_1d(xs))
 
 

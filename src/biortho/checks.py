@@ -5,9 +5,10 @@ quadrature, the staircase kernel against the residue integral or the
 generic Gram kernel of :func:`~biortho.chgue.reference_spec`, Monte Carlo
 against a closed form) and returns its residuals by name.  :data:`SUITES`
 maps each ``verify --suite`` name to a function
-``(params, seed, samples) -> {name: residual}`` and to the
-:data:`DEFAULT_TOLS` key of each residual.  Library calls go through their
-modules, so wrappers installed there (a profiler's) see them too.
+``(params, seed, samples) -> {name: residual}``, to the
+:data:`DEFAULT_TOLS` key of each residual, and to the sources it checks
+when none are given.  Library calls go through their modules, so wrappers
+installed there (a profiler's) see them too.
 """
 from __future__ import annotations
 
@@ -27,12 +28,6 @@ def rel_dev(v, ref) -> float:
     """``max |v - ref| / max(|ref|, 1e-12)`` over the broadcast arrays."""
     v, ref = np.asarray(v), np.asarray(ref)
     return float(np.max(np.abs(v - ref) / np.maximum(np.abs(ref), 1e-12)))
-
-
-def moments(f: Callable, rule: numerics.QuadratureRule, n: int) -> NDArray[np.float64]:
-    r"""$\int x^j f(x)\,dx$ for $j = 0..n-1$, with ``rule``'s dx weights."""
-    v = f(rule.nodes)
-    return np.array([float(np.dot(rule.dx_weights, rule.nodes**j * v)) for j in range(n)])
 
 
 def biorthogonality(pv: NDArray, qv: NDArray, rule: numerics.QuadratureRule) -> float:
@@ -61,25 +56,21 @@ def kernel(p: ChgueParams, x, y) -> dict[str, float]:
     and the generic kernel's trace against N."""
     kd = ensembles.build_kernel(chgue.reference_spec(p))
     rule = numerics.gauss_laguerre(64, p.alpha)
-    trace = float(np.dot(rule.dx_weights, ensembles.kernel_eval(kd, rule.nodes, rule.nodes)))
+    trace = float(rule.moments(ensembles.kernel_eval(kd, rule.nodes, rule.nodes), 1)[0])
     return {"closed-form kernel vs generic path": kernel_deviation(p, x, y, kd),
             "kernel trace = N": abs(trace - p.n)}
-
-
-def _descending(p: ChgueParams) -> ChgueParams:
-    return ChgueParams(p.alpha, tuple(sorted(p.a, reverse=True)))
 
 
 def ortho(p: ChgueParams) -> dict[str, float]:
     """Type I and type II defining moments of the closed forms, and the
     biorthogonality of the staircase pair, by quadrature."""
     rule = numerics.gauss_laguerre(64, p.alpha)
-    m = moments(chgue.chgue_type_one(p), rule, p.n)
+    m = rule.moments(chgue.chgue_type_one(p)(rule.nodes), p.n)
     # against every xi of the reference, derivative weights included
-    pv = chgue.chgue_type_two(p)(rule.nodes)
-    xi_moments = [np.dot(rule.dx_weights, xi(rule.nodes) * pv) for xi in chgue.reference_spec(p).xi]
+    xi = np.array([f(rule.nodes) for f in chgue.reference_spec(p).xi])
+    xi_moments = rule.moments(xi * chgue.chgue_type_two(p)(rule.nodes), 1)
     # P_i on the first i sources (P_0 = 1) and Q_{j+1} on the first j + 1
-    pv, qv = chgue.staircase_functions(_descending(p), rule.nodes, rule.nodes)
+    pv, qv = chgue.staircase_functions(p, rule.nodes, rule.nodes)
     return {
         "type I moments vanish": float(np.max(np.abs(m[:-1]))) if p.n > 1 else 0.0,
         "type I final moment = 1": float(abs(m[-1] - 1.0)),
@@ -90,7 +81,7 @@ def ortho(p: ChgueParams) -> dict[str, float]:
 
 def staircase_sum(p: ChgueParams, x, y) -> dict[str, float]:
     """The residue integral against the staircase sum, worst over the
-    points ``(x[k], y[k])``; the sources must be strictly decreasing."""
+    points ``(x[k], y[k])``; the sources may come in any order."""
     pairs = [chgue.kernel_sum_check(p, xk, yk) for xk, yk in zip(x, y)]
     return {"kernel = staircase sum": max(rel_dev(total, ref) for ref, total in pairs)}
 
@@ -124,17 +115,20 @@ def _points(seed: int) -> NDArray[np.float64]:
     return np.random.default_rng(seed).uniform(0.2, 6.0, size=(5, 2)).T
 
 
-# rankdecomp splits two fixed rank-r sources at the given alpha
-SUITES: dict[str, tuple[Callable[..., dict[str, float]], tuple[str, ...]]] = {
-    "gram": (lambda p, seed, samples: gram(p), ("gram",)),
-    "kernel": (lambda p, seed, samples: kernel(p, *_points(seed)), ("kernel", "trace")),
-    "ortho": (lambda p, seed, samples: ortho(p), ("ortho", "ortho", "ortho", "biortho")),
-    "corollary": (lambda p, seed, samples: staircase_sum(_descending(p), *_points(seed)),
-                  ("corollary",)),
-    "rankdecomp": (lambda p, seed, samples: {
-        **rank_split(ChgueParams(p.alpha, (0.9, 0.0, 0.0)), 1, [0.5], [1.4]),
-        **rank_split(ChgueParams(p.alpha, (1.2, 0.5, 0.0, 0.0)), 2, [0.5], [1.4]),
-    }, ("rankdecomp", "rankdecomp")),
-    "mc": (lambda p, seed, samples: mc(p, samples, seed), ("mc-sigma", "mc-bins")),
+_SOURCES = ((1.3, 0.7, 0.2),)
+
+# rankdecomp splits at r = the number of non-zero sources, by default one
+# system of rank 1 and one of rank 2
+SUITES: dict[str, tuple[Callable[..., dict[str, float]], tuple[str, ...],
+                        tuple[tuple[float, ...], ...]]] = {
+    "gram": (lambda p, seed, samples: gram(p), ("gram",), _SOURCES),
+    "kernel": (lambda p, seed, samples: kernel(p, *_points(seed)), ("kernel", "trace"), _SOURCES),
+    "ortho": (lambda p, seed, samples: ortho(p), ("ortho", "ortho", "ortho", "biortho"),
+              _SOURCES),
+    "corollary": (lambda p, seed, samples: staircase_sum(p, *_points(seed)), ("corollary",),
+                  _SOURCES),
+    "rankdecomp": (lambda p, seed, samples: rank_split(p, sum(v != 0 for v in p.a), [0.5], [1.4]),
+                   ("rankdecomp",), ((0.9, 0.0, 0.0), (1.2, 0.5, 0.0, 0.0))),
+    "mc": (lambda p, seed, samples: mc(p, samples, seed), ("mc-sigma", "mc-bins"), _SOURCES),
 }
 

@@ -18,9 +18,8 @@ decomposition of the kernel.
 
 The type I function and the kernel are divided differences over the
 sources, all given at once by one Opitz column (:func:`_dd_column`), so
-they accept coincident sources.  Only :func:`chgue_pdf`, whose
-normalization divides by the Vandermonde $\Delta(a)$, raises
-:class:`ConfluentError`.
+they accept coincident sources.  The joint density is the generic
+:func:`~biortho.ensembles.pdf_eval` on :func:`reference_spec`.
 
 Tested contracts, against 50-digit ``mpmath`` references: type I within
 ``1e-11`` relative, normwise over $x \in [0, 30]$, for $N \le 6$ and
@@ -33,14 +32,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import expm
 
-from .ensembles import EnsembleSpec, HalfLine
-from .errors import ConfluentError, DomainError
+from .ensembles import EnsembleSpec
+from .errors import DomainError
 from .multipoly import Composition, WeightSystem, xi_family
 from .numerics import (
     bidiagonal_series,
@@ -49,7 +48,6 @@ from .numerics import (
     hyp0f1,
     laguerre,
     log_gamma,
-    vandermonde,
 )
 
 __all__ = [
@@ -60,7 +58,6 @@ __all__ = [
     "ensemble_spec",
     "confluent_spec",
     "reference_spec",
-    "chgue_pdf",
     "chgue_gram",
     "chgue_kernel",
     "staircase_functions",
@@ -72,9 +69,6 @@ __all__ = [
     "laguerre_cd_kernel",
     "rank_decomposition",
 ]
-
-_MIN_SEPARATION = 1e-8
-
 
 @dataclass(frozen=True)
 class ChgueParams:
@@ -137,7 +131,7 @@ def ensemble_spec(p: ChgueParams, n_quad: int = 64) -> EnsembleSpec:
     quad = gauss_laguerre(n_quad, p.alpha)
     eta = tuple(scaled_laguerre_eta(p.alpha, k) for k in range(1, p.n + 1))
     xi = tuple(w_alpha(p.alpha, ai) for ai in p.a)
-    return EnsembleSpec(n=p.n, interval=HalfLine(), eta=eta, xi=xi, quad=quad)
+    return EnsembleSpec(n=p.n, eta=eta, xi=xi, quad=quad)
 
 
 def confluent_spec(c: ConfluentSpec, alpha: float) -> EnsembleSpec:
@@ -150,7 +144,7 @@ def confluent_spec(c: ConfluentSpec, alpha: float) -> EnsembleSpec:
     n = comp.weight
     eta = tuple(scaled_laguerre_eta(alpha, k) for k in range(1, n + 1))
     xi = tuple(xi_family(ws, comp))
-    return EnsembleSpec(n=n, interval=HalfLine(), eta=eta, xi=xi, quad=ws.quad)
+    return EnsembleSpec(n=n, eta=eta, xi=xi, quad=ws.quad)
 
 
 def reference_spec(p: ChgueParams) -> EnsembleSpec:
@@ -171,32 +165,6 @@ def chgue_gram(p: ChgueParams) -> NDArray[np.float64]:
     powers = np.vstack([a**i for i in range(p.n)])
     powers[0] = 1.0
     return powers * np.exp(a)
-
-
-def chgue_pdf(p: ChgueParams, x: Sequence[float]) -> float:
-    r"""Joint eigenvalue density at one point of $[0,\infty)^N$, using the
-    closed-form normalization $Z_N = N!\,\prod_i e^{a_i}\,\Delta(a)$.
-    Requires distinct $a_i$ (coalescing parameters go through
-    :func:`confluent_weights` plus the generic pdf)."""
-    if p.n > 1 and np.min(np.diff(np.sort(p.a))) < _MIN_SEPARATION:
-        raise ConfluentError(
-            f"chgue_pdf: source parameters closer than {_MIN_SEPARATION}; "
-            f"use confluent_weights and the generic ensemble machinery instead"
-        )
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.size != p.n:
-        raise DomainError(f"chgue_pdf expects {p.n} coordinates, got {x.size}")
-    if np.any(x < 0):
-        raise DomainError("chgue_pdf coordinates must be >= 0")
-    e = np.array([scaled_laguerre_eta(p.alpha, k)(x) for k in range(1, p.n + 1)])
-    z = np.array([w_alpha(p.alpha, ai)(x) for ai in p.a])
-    s1, l1 = np.linalg.slogdet(e)
-    s2, l2 = np.linalg.slogdet(z)
-    if s1 == 0.0 or s2 == 0.0:
-        return 0.0
-    delta = vandermonde(p.a)
-    log_z = math.lgamma(p.n + 1) + float(np.sum(p.a)) + math.log(abs(delta))
-    return float(s1 * s2 * math.copysign(1.0, delta) * math.exp(l1 + l2 - log_z))
 
 
 # ---------------------------------------------------------------------------
@@ -366,13 +334,8 @@ def residue_kernel(p: ChgueParams, x: float, y: float, n_quad: int | None = None
 def kernel_sum_check(p: ChgueParams, x: float, y: float) -> tuple[float, float]:
     r"""The kernel from two algorithms: the residue-sum integral
     (:func:`residue_kernel`) and the staircase sum
-    $\sum_{k=1}^N P_{k-1}(x)\, Q_k(y)$ (:func:`chgue_kernel`).  Requires
-    strictly decreasing $a_1 > \dots > a_N \ge 0$."""
-    a = p.a
-    if any(a[i] <= a[i + 1] for i in range(len(a) - 1)):
-        raise DomainError(
-            f"kernel_sum_check requires strictly decreasing source parameters, got {a}"
-        )
+    $\sum_{k=1}^N P_{k-1}(x)\, Q_k(y)$ (:func:`chgue_kernel`).  Both read
+    one Opitz column, so the sources may come in any order and coincide."""
     return residue_kernel(p, x, y), chgue_kernel(p, x, y)
 
 
@@ -428,11 +391,7 @@ def confluent_weights(c: ConfluentSpec, alpha: float) -> tuple[WeightSystem, Com
         else:
             weights.append(w_alpha(alpha, 0.0))
             parts.append(mk)
-    ws = WeightSystem(
-        weights=tuple(weights),
-        interval=HalfLine(),
-        quad=gauss_laguerre(64, alpha),
-    )
+    ws = WeightSystem(weights=tuple(weights), quad=gauss_laguerre(64, alpha))
     return ws, Composition(tuple(parts))
 
 

@@ -1,14 +1,16 @@
 r"""Generic biorthogonal ensemble machinery.
 
-An ensemble of $N$ points on an interval $I$ is specified by two families of
+An ensemble of $N$ points on a support $I$ is specified by two families of
 functions $\eta_1,\dots,\eta_N$ and $\xi_1,\dots,\xi_N$ through the joint
 density
 
 $$ p_N(x_1,\dots,x_N) = \frac{1}{Z_N}\,
    \det[\eta_i(x_j)]\,\det[\xi_i(x_j)], \qquad Z_N = N!\,\det \mathbf g, $$
 
-with Gram matrix $g_{i,j} = \int_I \eta_i \xi_j\,dx$.  All $n$-point
-correlation functions are determinants of the kernel
+with Gram matrix $g_{i,j} = \int_I \eta_i \xi_j\,dx$.  A
+:class:`~biortho.numerics.QuadratureRule` fixes the support $I$ and its
+measure: every integral here is taken on one, and nothing else describes
+$I$.  All $n$-point correlation functions are determinants of the kernel
 
 $$ K_N(x,y) = \sum_{i,j} \eta_i(x)\, c_{i,j}\, \xi_j(y),
    \qquad \mathbf c = \mathbf g^{-\mathsf T}. $$
@@ -27,18 +29,9 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .errors import CapacityError, DomainError, NumericError, SingularMatrixError
-from .numerics import (
-    QuadratureRule,
-    check_gram_size,
-    gauss_laguerre,
-    gauss_legendre,
-    solve,
-)
+from .numerics import QuadratureRule, check_gram_size, solve
 
 __all__ = [
-    "HalfLine",
-    "Segment",
-    "default_rule",
     "EnsembleSpec",
     "KernelData",
     "build_kernel",
@@ -54,37 +47,6 @@ __all__ = [
 _MARGINAL_MAX_ENTRIES = 2**22
 
 
-@dataclass(frozen=True)
-class HalfLine:
-    """The interval [0, oo)."""
-
-
-@dataclass(frozen=True)
-class Segment:
-    """The interval [a, b]."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not self.b > self.a:
-            raise DomainError(f"Segment requires b > a, got ({self.a}, {self.b})")
-
-
-Interval = HalfLine | Segment
-
-
-def default_rule(interval: Interval, alpha: float = 0.0, n: int = 64) -> QuadratureRule:
-    """Fixed high-order rule matched to the interval kind: generalized
-    Gauss-Laguerre on the half line, Gauss-Legendre on a segment.  A single
-    fixed rule (rather than adaptive quadrature) keeps every Gram integral
-    bit-reproducible; the integrands in this package are smooth with known
-    decay."""
-    if isinstance(interval, HalfLine):
-        return gauss_laguerre(n, alpha)
-    return gauss_legendre(n, interval.a, interval.b)
-
-
 def _dx_rule(rule: QuadratureRule) -> QuadratureRule:
     """The same nodes reweighted for plain ``dx`` integration."""
     return QuadratureRule(rule.nodes, rule.dx_weights, "dx", ())
@@ -92,7 +54,8 @@ def _dx_rule(rule: QuadratureRule) -> QuadratureRule:
 
 @dataclass
 class EnsembleSpec:
-    r"""Interval, size, and the two function families of the density.
+    r"""Size, the two function families of the density, and the rule that
+    fixes their support.
 
     ``eta`` and ``xi`` are sequences of N callables, each vectorized over a
     1-d array of points.  ``quad`` integrates in its family's weighted sense;
@@ -106,7 +69,6 @@ class EnsembleSpec:
     """
 
     n: int
-    interval: Interval
     eta: tuple[Callable, ...]
     xi: tuple[Callable, ...]
     quad: QuadratureRule
@@ -280,7 +242,6 @@ class OrthoPolySystem:
     """
 
     weight: Callable
-    interval: Interval
     rec_a: NDArray[np.float64]
     rec_b: NDArray[np.float64]
     norms: NDArray[np.float64]
@@ -315,22 +276,17 @@ class OrthoPolySystem:
         return float(out) if out.ndim == 0 else out
 
 
-def op_from_weight(
-    w: Callable,
-    interval: Interval,
-    n: int,
-    quad: QuadratureRule | None = None,
-) -> OrthoPolySystem:
+def op_from_weight(w: Callable, quad: QuadratureRule, n: int) -> OrthoPolySystem:
     """Monic orthogonal polynomials p_0..p_n of the weight ``w`` by the
-    discretized Stieltjes procedure on the given (or default 64-point) rule.
+    discretized Stieltjes procedure on the rule ``quad``, whose nodes span
+    the support.  A single fixed rule (rather than adaptive quadrature) keeps
+    every integral bit-reproducible.
 
     Raises :class:`NumericError` if some computed norm h_k fails to stay
     positive — the usual ill-conditioning signature; retry with smaller n.
     """
     if n < 1:
         raise DomainError(f"op_from_weight requires n >= 1, got {n}")
-    if quad is None:
-        quad = default_rule(interval)
     t = quad.nodes
     wm = quad.dx_weights * w(t)
     rec_a = np.empty(n)
@@ -353,9 +309,7 @@ def op_from_weight(
         rec_b[k] = h if k == 0 else h / h_prev
         h_prev = h
         prev, cur = cur, (t - rec_a[k]) * cur - (rec_b[k] if k > 0 else 0.0) * prev
-    return OrthoPolySystem(
-        weight=w, interval=interval, rec_a=rec_a, rec_b=rec_b, norms=norms, quad=quad
-    )
+    return OrthoPolySystem(weight=w, rec_a=rec_a, rec_b=rec_b, norms=norms, quad=quad)
 
 
 def cd_check(sys: OrthoPolySystem, n: int, x: float, y: float) -> tuple[float, float]:

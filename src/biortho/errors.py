@@ -11,7 +11,6 @@ __all__ = [
     "BiorthoError",
     "DomainError",
     "CapacityError",
-    "ConfluentError",
     "UnsupportedModelError",
     "NumericError",
     "SingularMatrixError",
@@ -31,12 +30,6 @@ class DomainError(BiorthoError, ValueError):
 class CapacityError(DomainError):
     """Requested size exceeds a deliberate cost guard (e.g. tensor-product
     quadrature beyond 4 dimensions, ensemble size beyond the N cap)."""
-
-
-class ConfluentError(DomainError):
-    """Source parameters coincide (or nearly coincide); the requested
-    distinct-parameter formula does not apply and the confluent-weight
-    construction must be used instead."""
 
 
 class UnsupportedModelError(DomainError):

@@ -1,8 +1,8 @@
 r"""Multiple orthogonal polynomials of type I and II for AT weight systems.
 
 A weight system is a family $w^{(1)},\dots,w^{(D)}$ of positive functions on
-a common interval.  For a composition (multi-index) $\vec n = (n_1,\dots,n_D)$
-with weight $N = |\vec n| = \sum_i n_i$:
+the support of one quadrature rule.  For a composition (multi-index)
+$\vec n = (n_1,\dots,n_D)$ with weight $N = |\vec n| = \sum_i n_i$:
 
 * the **type I** function $Q_{\vec n}(x) = \sum_i w^{(i)}(x) A^{(i)}(x)$,
   $\deg A^{(i)} = n_i - 1$, is fixed by
@@ -18,15 +18,15 @@ matrix at runtime.
 """
 from __future__ import annotations
 
+import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 from numpy.typing import NDArray
 
-from .ensembles import Interval
 from .errors import DomainError, NumericError, NumericWarning
 from .numerics import QuadratureRule, check_gram_size, solve
 
@@ -74,12 +74,10 @@ class Composition:
 @dataclass
 class WeightSystem:
     """D positive weights sharing one support, with the quadrature rule used
-    for every moment integral.  Moments are cached per (weight, power)."""
+    for every moment integral; the rule's nodes span the support."""
 
     weights: tuple[Callable, ...]
-    interval: Interval
     quad: QuadratureRule
-    _weight_values: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.weights = tuple(self.weights)
@@ -90,27 +88,23 @@ class WeightSystem:
     def d(self) -> int:
         return len(self.weights)
 
-    def _values(self, i: int) -> NDArray[np.float64]:
-        """dx-weighted values of w_i at the quadrature nodes."""
-        if i not in self._weight_values:
-            self._weight_values[i] = self.quad.dx_weights * self.weights[i](self.quad.nodes)
-        return self._weight_values[i]
+    @functools.cached_property
+    def at_nodes(self) -> NDArray[np.float64]:
+        """The weights at the rule's nodes, shape ``(D, M)``; evaluated once."""
+        return np.array([w(self.quad.nodes) for w in self.weights])
 
-    def moment(self, i: int, j: int) -> float:
-        r"""$\int_I w^{(i)}(x)\, x^j\, dx$ by quadrature (cached)."""
-        key = ("m", i, j)
-        if key not in self._weight_values:
-            self._weight_values[key] = float(np.dot(self._values(i), self.quad.nodes**j))
-        return self._weight_values[key]
+
+def _check_parts(ws: WeightSystem, comp: Composition) -> None:
+    if comp.d != ws.d:
+        raise DomainError(
+            f"composition has {comp.d} parts but weight system has {ws.d} weights"
+        )
 
 
 def xi_family(ws: WeightSystem, comp: Composition) -> list[Callable]:
     r"""The concatenated family $x^j w^{(i)}(x)$, $j = 0..n_i-1$, in block
     order — length $|\vec n|$.  Blocks with $n_i = 0$ contribute nothing."""
-    if comp.d != ws.d:
-        raise DomainError(
-            f"composition has {comp.d} parts but weight system has {ws.d} weights"
-        )
+    _check_parts(ws, comp)
     fams: list[Callable] = []
     for i, ni in enumerate(comp.parts):
         w = ws.weights[i]
@@ -119,10 +113,17 @@ def xi_family(ws: WeightSystem, comp: Composition) -> list[Callable]:
     return fams
 
 
-def _moment_matrix(ws: WeightSystem, comp: Composition, rows: int) -> NDArray[np.float64]:
-    """rows x |n| matrix M[j, col] = integral x^j xi_col dx in block order."""
-    cols = [(i, p) for i, ni in enumerate(comp.parts) for p in range(ni)]
-    return np.array([[ws.moment(i, j + p) for i, p in cols] for j in range(rows)])
+def _moment_matrix(
+    ws: WeightSystem, comp: Composition, rows: int, f: NDArray | float = 1.0
+) -> NDArray[np.float64]:
+    r"""rows x |n| matrix $M_{j,(i,p)} = \int x^{j+p} w^{(i)} f\,dx$ in
+    block order, with ``f`` given at the rule's nodes: one moment table per
+    weight, sliced once per block."""
+    _check_parts(ws, comp)
+    table = ws.quad.moments(ws.at_nodes * f, rows + max(comp.parts))
+    block = np.repeat(np.arange(comp.d), comp.parts)
+    power = np.concatenate([np.arange(ni) for ni in comp.parts])
+    return table[block, np.arange(rows)[:, None] + power]
 
 
 def _guard_condition(m: NDArray, what: str) -> None:
@@ -206,14 +207,10 @@ def type_two(ws: WeightSystem, comp: Composition) -> TypeIIPolynomial:
     on the N non-leading coefficients)."""
     n = comp.weight
     check_gram_size(n, "type_two composition weight")
-    if comp.d != ws.d:
-        raise DomainError(
-            f"composition has {comp.d} parts but weight system has {ws.d} weights"
-        )
+    # column (i, j) holds the moments of x^j w_i against 1, x, ..., x^n
+    m = _moment_matrix(ws, comp, n + 1)
     if n == 0:
         return TypeIIPolynomial(composition=comp, coeffs=np.array([1.0]))
-    # row (i, j) holds the moments of x^j w_i against 1, x, ..., x^n
-    m = _moment_matrix(ws, comp, n + 1)
     _guard_condition(m[:n].T, "type_two")
     low = solve(m[:n].T, -m[n])
     return TypeIIPolynomial(composition=comp, coeffs=np.append(low, 1.0))
@@ -222,9 +219,8 @@ def type_two(ws: WeightSystem, comp: Composition) -> TypeIIPolynomial:
 def check_ortho_one(q: TypeIFunction) -> NDArray[np.float64]:
     r"""Quadrature values of $\int x^j Q$, $j = 0..N-1$ (the last should be
     1, the rest 0); returned raw for the caller to compare."""
-    t = q.system.quad.nodes
-    vals = q.system.quad.dx_weights * q(t)
-    return np.array([float(np.dot(vals, t**j)) for j in range(q.composition.weight)])
+    rule = q.system.quad
+    return rule.moments(q(rule.nodes), q.composition.weight)
 
 
 def check_ortho_two(
@@ -232,10 +228,7 @@ def check_ortho_two(
 ) -> NDArray[np.float64]:
     r"""Quadrature values of every $\int w^{(i)} x^j P$, $j = 0..n_i-1$,
     blocks concatenated; all should vanish."""
-    t = ws.quad.nodes
-    pv = p(t)
-    wv = [ws.quad.dx_weights * w(t) * pv for w in ws.weights]
-    return np.array([float(np.dot(wv[i], t**j)) for i, ni in enumerate(comp.parts) for j in range(ni)])
+    return _moment_matrix(ws, comp, 1, p(ws.quad.nodes))[0]
 
 
 def staircase_path(comp: Composition) -> list[Composition]:

@@ -13,8 +13,11 @@ Conventions
   an ``n``-point generalized Gauss–Laguerre rule approximates
   $\int_0^\infty f(x)\,x^\alpha e^{-x}\,dx \approx \sum_i w_i f(x_i)$,
   a Gauss–Legendre rule approximates the plain integral over ``[a, b]``.
-  Use :attr:`QuadratureRule.dx_weights` when a plain ``dx`` measure is needed
-  on the half line.
+  A rule is the whole description of a support and its measure: every
+  integral of the package is taken on one.  Its
+  :attr:`~QuadratureRule.dx_weights` give the plain ``dx`` measure, and
+  :meth:`~QuadratureRule.moments` is the one place that forms the moments
+  $\int x^j f\,dx$.
 * All arithmetic is double precision; ensemble sizes are capped at
   ``N <= 12`` by default, the largest size any accuracy contract was tested
   at (each states its own range).  ``BIORTHO_MAX_N`` raises the cap; results
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.typing import NDArray
+from numpy.typing import ArrayLike, NDArray
 from scipy.linalg import LinAlgWarning, eigh_tridiagonal, lu_factor, lu_solve
 from scipy.special import gammaln, ive
 from scipy.special import hyp0f1 as _scipy_hyp0f1
@@ -50,7 +53,6 @@ __all__ = [
     "bidiagonal_series",
     "log_gamma",
     "elem_sym",
-    "vandermonde",
     "solve",
     "QuadratureRule",
     "gauss_legendre",
@@ -234,17 +236,6 @@ def elem_sym(a: Sequence[float]) -> NDArray[np.float64]:
     return e
 
 
-def vandermonde(x: Sequence[float]) -> float:
-    r"""Vandermonde product $\Delta(x) = \prod_{i<j} (x_j - x_i)$
-    (product form, $O(N^2)$ and stable; not the determinant form)."""
-    x = np.asarray(x, dtype=float)
-    out = 1.0
-    for i in range(x.size):
-        for j in range(i + 1, x.size):
-            out *= x[j] - x[i]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # small dense linear algebra
 # ---------------------------------------------------------------------------
@@ -316,6 +307,16 @@ class QuadratureRule:
             (alpha,) = self.params
             return self.weights * np.exp(self.nodes) * self.nodes ** (-alpha)
         return self.weights
+
+    def moments(self, values: ArrayLike, n: int) -> NDArray[np.float64]:
+        r"""$\int x^j f(x)\,dx$ for $j = 0..n-1$ with the dx weights, where
+        ``values`` holds $f$ at the nodes along its last axis; one row of
+        moments per leading index, shape ``values.shape[:-1] + (n,)``.  The
+        node sum is numpy's pairwise one; a BLAS product, which sums the
+        nodes in sequence, left type II orthogonality residuals about 3x
+        larger."""
+        weighted = np.asarray(values) * self.dx_weights
+        return np.sum(weighted[..., None, :] * self.nodes ** np.arange(n)[:, None], axis=-1)
 
     def integrate(self, f: Callable) -> float:
         """Weighted-sense integral ``sum(w_i f(x_i))`` with ``f`` vectorized."""

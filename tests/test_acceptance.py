@@ -14,8 +14,6 @@ from biortho import (
     ChgueParams,
     Composition,
     EnsembleSpec,
-    HalfLine,
-    Segment,
     SourceModel,
     WeightSystem,
     biortho_sequence,
@@ -31,6 +29,7 @@ from biortho import (
     correlation_by_marginal,
     ensemble_spec,
     gauss_laguerre,
+    gauss_legendre,
     kernel_from_ratio,
     laguerre,
     op_from_weight,
@@ -90,7 +89,7 @@ def test_criterion_2_ratio_identity_kernel():
                 worst = max(worst, abs(val - chgue_kernel(params, x, y)))
     # Hermite-weight orthogonal-polynomial ensemble, N = 2 (zero source)
     model = SourceModel("hermitian", 2, (0.0, 0.0))
-    sys = op_from_weight(lambda t: np.exp(-t * t), Segment(-7.5, 7.5), 2)
+    sys = op_from_weight(lambda t: np.exp(-t * t), gauss_legendre(64, -7.5, 7.5), 2)
 
     def cd(x, y):
         return math.exp(-y * y) * sum(
@@ -191,7 +190,6 @@ def test_criterion_5_orthogonality_suites():
             lambda x: np.sqrt(np.asarray(x, dtype=float))
             * np.exp(-np.asarray(x, dtype=float)),
         ),
-        interval=HalfLine(),
         quad=gauss_laguerre(64, 0.0),
     )
     comp = Composition((2, 2))
@@ -265,15 +263,14 @@ def test_criterion_7_christoffel_darboux():
                 op_from_weight(
                     lambda t, alpha=alpha: np.asarray(t, float) ** alpha
                     * np.exp(-np.asarray(t, float)),
-                    HalfLine(),
+                    gauss_laguerre(64, alpha),
                     8,
-                    quad=gauss_laguerre(64, alpha),
                 ),
                 (0.1, 12.0),
             )
         )
     systems.append(
-        (op_from_weight(lambda t: np.exp(-t * t), Segment(-7.5, 7.5), 8), (-3.0, 3.0))
+        (op_from_weight(lambda t: np.exp(-t * t), gauss_legendre(64, -7.5, 7.5), 8), (-3.0, 3.0))
     )
     for sys, (lo, hi) in systems:
         for _ in range(10):
@@ -309,7 +306,7 @@ def test_criterion_9_correlation_definitions():
     )
     specs.append(
         EnsembleSpec(
-            n=3, interval=HalfLine(), eta=eta, xi=xi, quad=gauss_laguerre(64, 0.0)
+            n=3, eta=eta, xi=xi, quad=gauss_laguerre(64, 0.0)
         )
     )
     for spec in specs:

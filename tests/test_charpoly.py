@@ -10,10 +10,8 @@ from scipy.special import exp1
 from biortho import (
     ChgueParams,
     DomainError,
-    HalfLine,
     NumericWarning,
     RatioOracle,
-    Segment,
     SourceModel,
     UnsupportedModelError,
     avg_charpoly,
@@ -24,6 +22,7 @@ from biortho import (
     chgue_type_two,
     ensemble_spec,
     gauss_laguerre,
+    gauss_legendre,
     kernel_eval,
     kernel_from_ratio,
     op_from_weight,
@@ -252,7 +251,7 @@ class TestCharpolyAverages:
         # <det(-X)> over the A = 0 Hermitian model is the monic "Hermite"
         # polynomial of e^{-x^2} at 0: p_2(0) = -1/2
         m = SourceModel("hermitian", 2, (0.0, 0.0))
-        sys = op_from_weight(lambda t: np.exp(-t * t), Segment(-7.5, 7.5), 2)
+        sys = op_from_weight(lambda t: np.exp(-t * t), gauss_legendre(64, -7.5, 7.5), 2)
         est = avg_charpoly(m, 0.0, samples=200000, seed=22)
         assert abs(est.value - sys.eval(2, 0.0)) < 4.0 * est.std_error
 
@@ -402,7 +401,7 @@ class TestKernelFromRatio:
 
     def test_quadrature_mode_hermitian(self):
         m = SourceModel("hermitian", 2, (0.0, 0.0))
-        sys = op_from_weight(lambda t: np.exp(-t * t), Segment(-7.5, 7.5), 2)
+        sys = op_from_weight(lambda t: np.exp(-t * t), gauss_legendre(64, -7.5, 7.5), 2)
 
         def cd(x, y):
             return math.exp(-y * y) * sum(
@@ -446,7 +445,7 @@ class TestRho1Check:
         # with A = 0 the reference is the Laguerre Christoffel sum
         alpha = 1.0
         w = lambda t: t**alpha * np.exp(-t)
-        sys_ = op_from_weight(w, HalfLine(), 3, quad=gauss_laguerre(64, alpha))
+        sys_ = op_from_weight(w, gauss_laguerre(64, alpha), 3)
         m = SourceModel("chiral", 3, (0.0, 0.0, 0.0), alpha=1)
         report = rho1_report(m, sample_spectra(m, seed=0, count=100), bins=24)
         x = 0.5 * (report.edges[:-1] + report.edges[1:])

@@ -9,15 +9,12 @@ import pytest
 from biortho import (
     ChgueParams,
     Composition,
-    ConfluentError,
     ConfluentSpec,
     ConvergenceError,
     DomainError,
-    HalfLine,
     build_kernel,
     chgue_gram,
     chgue_kernel,
-    chgue_pdf,
     chgue_type_one,
     chgue_type_two,
     confluent_spec,
@@ -30,15 +27,16 @@ from biortho import (
     laguerre_cd_kernel,
     pdf_eval,
     rank_decomposition,
+    reference_spec,
     residue_kernel,
+    scaled_laguerre_eta,
     staircase_functions,
     type_one,
     type_two,
     w_alpha,
 )
 from biortho import numerics
-from biortho.ensembles import _dx_rule
-from biortho.numerics import integrate_nd, log_gamma
+from biortho.numerics import log_gamma
 
 
 def mp_divided_difference(f, nodes):
@@ -157,22 +155,24 @@ class TestGram:
 
 class TestPdf:
     def test_matches_generic_pdf(self):
+        # the closed-form density det[eta_i(x_j)] det[xi_i(x_j)] / Z_N, with
+        # Z_N = N! prod_j e^{a_j} Delta(a), against the one density evaluator
         p = ChgueParams(1.0, (0.4, 1.3))
-        spec = ensemble_spec(p)
+        z_n = 2 * math.exp(sum(p.a)) * (p.a[1] - p.a[0])
         for pt in ([0.5, 2.0], [1.0, 4.5]):
-            assert chgue_pdf(p, pt) == pytest.approx(pdf_eval(spec, pt), rel=1e-10)
+            e = np.array([scaled_laguerre_eta(p.alpha, k)(pt) for k in (1, 2)])
+            z = np.array([w_alpha(p.alpha, ai)(pt) for ai in p.a])
+            closed = np.linalg.det(e) * np.linalg.det(z) / z_n
+            assert pdf_eval(reference_spec(p), pt) == pytest.approx(closed, rel=1e-10)
 
     def test_normalization(self):
-        # closed-form Z_N checked by 2-d tensor quadrature
-        p = ChgueParams(0.0, (0.9, 0.2))
-        rule = _dx_rule(gauss_laguerre(48, 0.0))
-        total = integrate_nd(lambda x, y: chgue_pdf(p, [x, y]), [rule, rule])
-        assert total == pytest.approx(1.0, rel=1e-8)
-
-    def test_coincident_rejected(self):
-        p = ChgueParams(0.0, (1.0, 1.0))
-        with pytest.raises(ConfluentError):
-            chgue_pdf(p, [0.5, 1.5])
+        # the density's closed-form normalization Z_N = N! det g, with
+        # det g = prod_j e^{a_j} Delta(a), Delta(a) = prod_{i<j} (a_j - a_i)
+        for a in ((0.9, 0.2), (1.4, 0.7, 0.2), (0.3, 2.1, 1.2, 0.05)):
+            delta = math.prod(aj - ai for i, ai in enumerate(a) for aj in a[i + 1:])
+            closed = math.exp(sum(a)) * delta
+            det = np.linalg.det(chgue_gram(ChgueParams(0.5, a)))
+            assert det == pytest.approx(closed, rel=1e-12)
 
 
 class TestTypeFunctions:
@@ -186,7 +186,6 @@ class TestTypeFunctions:
 
         ws = WeightSystem(
             weights=tuple(w_alpha(alpha, ai) for ai in a),
-            interval=HalfLine(),
             quad=gauss_laguerre(64, alpha),
         )
         generic = type_two(ws, Composition((1, 1, 1)))
@@ -202,7 +201,6 @@ class TestTypeFunctions:
 
         ws = WeightSystem(
             weights=tuple(w_alpha(alpha, ai) for ai in a),
-            interval=HalfLine(),
             quad=gauss_laguerre(64, alpha),
         )
         generic = type_one(ws, Composition((1, 1, 1)))
@@ -419,10 +417,14 @@ class TestKernelStaircaseSum:
                 kernel, total = kernel_sum_check(p, float(x), float(y))
                 assert kernel == pytest.approx(total, rel=1e-9)
 
-    def test_requires_decreasing(self):
-        p = ChgueParams(0.0, (0.5, 1.0))
-        with pytest.raises(DomainError):
-            kernel_sum_check(p, 1.0, 2.0)
+    def test_any_source_order(self):
+        # both sides read one Opitz column: increasing, coincident and
+        # interleaved-zero sources agree as well as decreasing ones
+        for a in ((0.2, 0.7, 1.3), (0.7, 0.7, 0.2), (1.1, 1.1, 1.1), (0.0, 0.9, 0.0)):
+            p = ChgueParams(1.0, a)
+            for x, y in ((0.5, 1.4), (2.0, 3.1), (4.0, 0.7)):
+                kernel, total = kernel_sum_check(p, x, y)
+                assert kernel == pytest.approx(total, rel=1e-12)
 
 
 class TestLaguerreLimits:
@@ -505,14 +507,13 @@ class TestConfluentWeights:
 
 class TestLaguerreCdKernel:
     def test_against_op_system(self):
-        from biortho import HalfLine, op_from_weight
+        from biortho import op_from_weight
 
         alpha, n = 1.0, 3
         sys = op_from_weight(
             lambda t: np.asarray(t, float) ** alpha * np.exp(-np.asarray(t, float)),
-            HalfLine(),
+            gauss_laguerre(64, alpha),
             n,
-            quad=gauss_laguerre(64, alpha),
         )
         for x, y in [(0.5, 2.0), (4.0, 1.5)]:
             cd = (y**alpha * math.exp(-y)) * sum(

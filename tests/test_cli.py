@@ -10,8 +10,6 @@ from biortho import (
     ChgueParams,
     Composition,
     ConfluentSpec,
-    HalfLine,
-    Segment,
     SourceModel,
     avg_charpoly,
     build_kernel,
@@ -21,6 +19,7 @@ from biortho import (
     confluent_spec,
     confluent_weights,
     gauss_laguerre,
+    gauss_legendre,
     kernel_eval,
     op_from_weight,
     rho1_check,
@@ -130,11 +129,11 @@ class TestKernelCommand:
             ref = [kernel_eval(kd, x, y) for x, y in rows[:, :2]]
         elif ensemble == "laguerre":
             w = lambda t: t**0.5 * np.exp(-t)
-            sys_ = op_from_weight(w, HalfLine(), 3, quad=gauss_laguerre(64, 0.5))
+            sys_ = op_from_weight(w, gauss_laguerre(64, 0.5), 3)
             ref = [cd_kernel(sys_, w, 3, x, y) for x, y in rows[:, :2]]
         else:
             w = lambda t: np.exp(-t * t)
-            sys_ = op_from_weight(w, Segment(-7.5, 7.5), 4)
+            sys_ = op_from_weight(w, gauss_legendre(64, -7.5, 7.5), 4)
             ref = [cd_kernel(sys_, w, 4, x, y) for x, y in rows[:, :2]]
         grid = np.linspace(0.25, 5.0, 5)
         np.testing.assert_array_equal(rows[:, 0], np.repeat(grid, 5))
@@ -246,7 +245,7 @@ class TestCorrAndSample:
         )
         assert code == EXIT_OK
         w = lambda t: np.exp(-t * t)
-        sys_ = op_from_weight(w, Segment(-7.5, 7.5), 4)
+        sys_ = op_from_weight(w, gauss_legendre(64, -7.5, 7.5), 4)
         ref = np.linalg.det([[cd_kernel(sys_, w, 4, x, y) for y in points] for x in points])
         assert table(out)[0, -1] == pytest.approx(ref, rel=1e-9)
 
@@ -329,6 +328,11 @@ class TestVerifySuites:
         pytest.param("corollary", (), ["kernel = staircase sum"], id="corollary"),
         pytest.param("rankdecomp", (), ["rank decomposition N=3 r=1", "rank decomposition N=4 r=2"],
                      id="rankdecomp"),
+        # the given sources are split, at r = the number of non-zero ones
+        pytest.param("rankdecomp", ("--alpha", "1", "--a", "1.1,0.3,0,0"),
+                     ["rank decomposition N=4 r=2"], id="rankdecomp-sources"),
+        pytest.param("rankdecomp", ("--ensemble", "confluent", "--b", "1.2,0", "--mult", "1,2"),
+                     ["rank decomposition N=3 r=1"], id="rankdecomp-confluent"),
         pytest.param("mc", ("--alpha", "1", "--a", "0.3,1.1", "--samples", "20000", "--seed", "4"),
                      ["MC <det> vs type II (sigmas)",
                       "rho1 histogram bins outside 3 sigma (fraction)"], id="mc"),
@@ -346,7 +350,7 @@ class TestVerifySuites:
         ("--a", "1,1"),
         ("--ensemble", "confluent", "--b", "1.2,0.4", "--mult", "2,1"),
     ])
-    @pytest.mark.parametrize("suite", ["kernel", "ortho"])
+    @pytest.mark.parametrize("suite", ["kernel", "ortho", "corollary"])
     def test_suites_accept_coincident_sources(self, capsys, suite, source_args):
         # the reference is the confluent spec; with the ensemble spec its
         # repeated xi columns made the Gram matrix singular (exit 3)
@@ -366,6 +370,13 @@ class TestVerifySuites:
     def test_rankdecomp_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "rankdecomp")
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("a", ["5,4,3", "0.3,1.1,0,0", "0.9,0,0.4"])
+    def test_rankdecomp_rejects_sources_it_cannot_split(self, capsys, a):
+        # full rank, an increasing head, a zero before a non-zero source
+        code, _, err = run(capsys, "verify", "--suite", "rankdecomp", "--a", a)
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ")
 
     def test_mc_suite_passes(self, capsys):
         code, out, _ = run(

@@ -8,15 +8,13 @@ import pytest
 from biortho import (
     DomainError,
     EnsembleSpec,
-    HalfLine,
-    Segment,
     SingularMatrixError,
     build_kernel,
     cd_check,
     correlation,
     correlation_by_marginal,
-    default_rule,
     gauss_laguerre,
+    gauss_legendre,
     kernel_eval,
     op_from_weight,
     pdf_eval,
@@ -30,20 +28,8 @@ def laguerre_spec(n: int, alpha: float = 0.0) -> EnsembleSpec:
     eta = tuple((lambda x, i=i: np.asarray(x, dtype=float) ** i) for i in range(n))
     xi = tuple((lambda x, i=i: np.asarray(x, dtype=float) ** i * w(x)) for i in range(n))
     return EnsembleSpec(
-        n=n, interval=HalfLine(), eta=eta, xi=xi, quad=gauss_laguerre(64, alpha)
+        n=n, eta=eta, xi=xi, quad=gauss_laguerre(64, alpha)
     )
-
-
-class TestIntervals:
-    def test_segment_validation(self):
-        with pytest.raises(DomainError):
-            Segment(1.0, 1.0)
-
-    def test_default_rules(self):
-        r = default_rule(HalfLine(), alpha=1.0)
-        assert r.kind == "gauss-laguerre" and r.params == (1.0,)
-        r = default_rule(Segment(-1.0, 2.0))
-        assert r.kind == "gauss-legendre" and r.params == (-1.0, 2.0)
 
 
 class TestEnsembleSpec:
@@ -61,7 +47,6 @@ class TestEnsembleSpec:
         with pytest.raises(DomainError):
             EnsembleSpec(
                 n=2,
-                interval=HalfLine(),
                 eta=(lambda x: x,),
                 xi=(lambda x: x, lambda x: x),
                 quad=gauss_laguerre(16, 0.0),
@@ -89,7 +74,6 @@ class TestBuildKernel:
         w = lambda x: np.exp(-np.asarray(x, dtype=float))
         spec = EnsembleSpec(
             n=2,
-            interval=HalfLine(),
             eta=(lambda x: np.ones_like(np.asarray(x, float)), lambda x: np.asarray(x, float)),
             xi=(w, w),
             quad=gauss_laguerre(32, 0.0),
@@ -150,9 +134,8 @@ class TestKernel:
         w = lambda t: t**alpha * math.exp(-t)
         sys = op_from_weight(
             lambda t: np.asarray(t, float) ** alpha * np.exp(-np.asarray(t, float)),
-            HalfLine(),
+            gauss_laguerre(64, alpha),
             n,
-            quad=gauss_laguerre(64, alpha),
         )
         points = [(0.5, 1.5), (2.0, 4.5)]
         for x, y in points:
@@ -239,9 +222,8 @@ class TestOrthoPolySystem:
         alpha = 0.5
         sys = op_from_weight(
             lambda t: np.asarray(t, float) ** alpha * np.exp(-np.asarray(t, float)),
-            HalfLine(),
+            gauss_laguerre(64, alpha),
             6,
-            quad=gauss_laguerre(64, alpha),
         )
         k = np.arange(6, dtype=float)
         assert np.allclose(sys.rec_a, 2 * k + alpha + 1, rtol=1e-10)
@@ -250,7 +232,7 @@ class TestOrthoPolySystem:
 
     def test_hermite_type_recurrence(self):
         # monic polynomials of e^{-x^2}: a_k = 0, b_k = k/2, h_0 = sqrt(pi)
-        sys = op_from_weight(lambda t: np.exp(-t * t), Segment(-7.5, 7.5), 6)
+        sys = op_from_weight(lambda t: np.exp(-t * t), gauss_legendre(64, -7.5, 7.5), 6)
         assert np.max(np.abs(sys.rec_a)) < 1e-12
         k = np.arange(1, 6, dtype=float)
         assert np.allclose(sys.rec_b[1:], k / 2.0, rtol=1e-11)
@@ -258,15 +240,14 @@ class TestOrthoPolySystem:
 
     def test_norm_product_form(self):
         sys = op_from_weight(
-            lambda t: np.exp(-np.asarray(t, float)), HalfLine(), 5,
-            quad=gauss_laguerre(64, 0.0),
+            lambda t: np.exp(-np.asarray(t, float)), gauss_laguerre(64, 0.0), 5,
         )
         # h_k = b_0 b_1 ... b_k; for Laguerre alpha=0 this is (k!)^2
         for k in range(5):
             assert sys.norms[k] == pytest.approx(math.factorial(k) ** 2, rel=1e-10)
 
     def test_orthogonality_by_quadrature(self):
-        sys = op_from_weight(lambda t: np.exp(-t * t), Segment(-7.5, 7.5), 5)
+        sys = op_from_weight(lambda t: np.exp(-t * t), gauss_legendre(64, -7.5, 7.5), 5)
         t = sys.quad.nodes
         wm = sys.quad.dx_weights * np.exp(-t * t)
         for i in range(5):
@@ -275,7 +256,7 @@ class TestOrthoPolySystem:
                 assert abs(val) < 1e-10
 
     def test_degree_cap(self):
-        sys = op_from_weight(lambda t: np.exp(-t * t), Segment(-7.5, 7.5), 3)
+        sys = op_from_weight(lambda t: np.exp(-t * t), gauss_legendre(64, -7.5, 7.5), 3)
         with pytest.raises(DomainError):
             sys.eval(5, 0.0)
         with pytest.raises(DomainError):
@@ -288,7 +269,7 @@ class TestOrthoPolySystem:
     def test_nonpositive_norm_raises(self):
         # an odd (sign-changing) weight has zeroth moment 0: h_0 <= 0
         with pytest.raises(NumericError):
-            op_from_weight(lambda t: np.asarray(t, float), Segment(-1.0, 1.0), 2)
+            op_from_weight(lambda t: np.asarray(t, float), gauss_legendre(64, -1.0, 1.0), 2)
 
 
 class TestChristoffelDarboux:
@@ -297,9 +278,9 @@ class TestChristoffelDarboux:
         systems = [
             op_from_weight(
                 lambda t: np.exp(-np.asarray(t, float)),
-                HalfLine(), 8, quad=gauss_laguerre(64, 0.0),
+                gauss_laguerre(64, 0.0), 8,
             ),
-            op_from_weight(lambda t: np.exp(-t * t), Segment(-7.5, 7.5), 8),
+            op_from_weight(lambda t: np.exp(-t * t), gauss_legendre(64, -7.5, 7.5), 8),
         ]
         for sys in systems:
             for _ in range(5):
@@ -310,6 +291,6 @@ class TestChristoffelDarboux:
                 assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_coincident_rejected(self):
-        sys = op_from_weight(lambda t: np.exp(-t * t), Segment(-7.5, 7.5), 4)
+        sys = op_from_weight(lambda t: np.exp(-t * t), gauss_legendre(64, -7.5, 7.5), 4)
         with pytest.raises(DomainError):
             cd_check(sys, 3, 1.0, 1.0)

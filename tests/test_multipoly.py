@@ -7,7 +7,6 @@ import pytest
 from biortho import (
     Composition,
     DomainError,
-    HalfLine,
     WeightSystem,
     biortho_sequence,
     check_ortho_one,
@@ -20,6 +19,7 @@ from biortho import (
     xi_family,
 )
 from biortho.errors import CapacityError
+from biortho.multipoly import _moment_matrix
 
 
 def two_laguerre_system() -> WeightSystem:
@@ -31,7 +31,6 @@ def two_laguerre_system() -> WeightSystem:
             lambda x: np.sqrt(np.asarray(x, dtype=float))
             * np.exp(-np.asarray(x, dtype=float)),
         ),
-        interval=HalfLine(),
         quad=gauss_laguerre(64, 0.0),
     )
 
@@ -42,7 +41,6 @@ def single_laguerre_system(alpha: float) -> WeightSystem:
             lambda x: np.asarray(x, dtype=float) ** alpha
             * np.exp(-np.asarray(x, dtype=float)),
         ),
-        interval=HalfLine(),
         quad=gauss_laguerre(64, alpha),
     )
 
@@ -62,14 +60,36 @@ class TestComposition:
 
 class TestWeightSystem:
     def test_moment_cache(self):
-        ws = single_laguerre_system(0.0)
-        # int x^j e^{-x} dx = j!
-        for j in range(6):
-            assert ws.moment(0, j) == pytest.approx(math.factorial(j), rel=1e-12)
+        # the weights are evaluated once per system, whatever is solved on
+        # it, and their moment table is int x^j e^{-x} dx = j!
+        calls = []
+
+        def w(x):
+            calls.append(x)
+            return np.exp(-np.asarray(x, dtype=float))
+
+        ws = WeightSystem(weights=(w,), quad=gauss_laguerre(64, 0.0))
+        type_one(ws, Composition((3,)))
+        type_two(ws, Composition((4,)))
+        assert len(calls) == 1
+        m = ws.quad.moments(ws.at_nodes, 6)
+        assert m.shape == (1, 6)
+        assert np.allclose(m[0], [math.factorial(j) for j in range(6)], rtol=1e-12, atol=0)
+
+    def test_moment_matrix_matches_entrywise_sums(self):
+        # the one table against a per-entry quadrature sum; both sum positive
+        # terms, so they agree to a few ulps per node
+        ws = two_laguerre_system()
+        comp = Composition((2, 1))
+        t, dxw = ws.quad.nodes, ws.quad.dx_weights
+        f = 1.0 + t
+        ref = [[np.dot(dxw * w(t) * f, t ** (j + p)) for w, p in
+                ((ws.weights[0], 0), (ws.weights[0], 1), (ws.weights[1], 0))] for j in range(4)]
+        assert np.allclose(_moment_matrix(ws, comp, 4, f), ref, rtol=1e-13, atol=0)
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
-            WeightSystem(weights=(), interval=HalfLine(), quad=gauss_laguerre(8, 0.0))
+            WeightSystem(weights=(), quad=gauss_laguerre(8, 0.0))
 
 
 class TestXiFamily:
@@ -139,6 +159,13 @@ class TestTypeOne:
         with pytest.raises(DomainError):
             type_one(ws, Composition((0, 0)))
 
+    @pytest.mark.parametrize("parts", [(2,), (1, 1, 1)], ids=["fewer", "more"])
+    def test_mismatched_parts(self, parts):
+        # one part per weight: fewer parts no longer drop a weight, more no
+        # longer index past the last one
+        with pytest.raises(DomainError, match="2 weights"):
+            type_one(two_laguerre_system(), Composition(parts))
+
     def test_capacity_guard(self, monkeypatch):
         monkeypatch.setenv("BIORTHO_MAX_N", "2")
         ws = two_laguerre_system()
@@ -164,6 +191,11 @@ class TestTypeTwo:
         ws = two_laguerre_system()
         p = type_two(ws, Composition((0, 0)))
         assert p(3.7) == 1.0
+
+    @pytest.mark.parametrize("parts", [(0,), (2,), (1, 1, 1)], ids=["empty", "fewer", "more"])
+    def test_mismatched_parts(self, parts):
+        with pytest.raises(DomainError, match="2 weights"):
+            type_two(two_laguerre_system(), Composition(parts))
 
 
 class TestStaircase:

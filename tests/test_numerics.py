@@ -24,7 +24,6 @@ from biortho import (
     log_gamma,
     max_gram_size,
     solve,
-    vandermonde,
 )
 
 # Frozen oracle values (computed independently during the build and pinned).
@@ -170,17 +169,6 @@ class TestElemSym:
         assert abs(lhs - rhs) <= 1e-10 * scale
 
 
-class TestVandermonde:
-    def test_against_determinant(self):
-        x = np.array([0.3, 1.1, 2.9, 4.0])
-        m = np.vander(x, increasing=True).T
-        assert vandermonde(x) == pytest.approx(np.linalg.det(m.T), rel=1e-12)
-
-    def test_small_cases(self):
-        assert vandermonde([2.0]) == 1.0
-        assert vandermonde([1.0, 3.0]) == 2.0
-
-
 class TestLinearAlgebra:
     def test_solve_roundtrip(self):
         rng = np.random.default_rng(7)
@@ -298,6 +286,20 @@ class TestQuadratureRule:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(NumericError):
             QuadratureRule(np.array([1.0, 2.0]), np.array([1.0, 0.0]), "dx")
+
+    def test_moments(self):
+        # plain-dx moments whatever the family: int_0^oo x^(j+1.5) e^{-x} dx
+        # = Gamma(j + 2.5) on a Laguerre rule of alpha 1.5, int_0^2 x^j dx =
+        # 2^(j+1)/(j+1) on a Legendre one; one row of moments per row of values
+        lag = gauss_laguerre(64, 1.5)
+        m = lag.moments(lag.nodes**1.5 * np.exp(-lag.nodes), 5)
+        assert np.allclose(m, [math.gamma(j + 2.5) for j in range(5)], rtol=1e-12, atol=0)
+        leg = gauss_legendre(8, 0.0, 2.0)
+        rows = leg.moments(np.array([np.ones(8), leg.nodes]), 4)
+        assert rows.shape == (2, 4)
+        assert np.allclose(rows, [[2.0 ** (j + k + 1) / (j + k + 1) for j in range(4)]
+                                  for k in range(2)], rtol=1e-13, atol=0)
+        assert leg.moments(np.ones(8), 0).shape == (0,)
 
 
 class TestIntegrateNd:
