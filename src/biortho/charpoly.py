@@ -69,6 +69,8 @@ __all__ = [
 
 DEFAULT_EPS_SCHEDULE = (1e-2, 5e-3, 2.5e-3)
 _CHUNK = 65536
+# chunk size up to which _triangle gathers (faster below about 2,048 draws)
+_GATHER_COUNT = 1024
 # relative size of rounding: residue_extract's floor
 _ROUNDING = 16 * np.finfo(float).eps
 # the oracle's panel ends either side of the pole
@@ -163,7 +165,9 @@ def _triangle(
     entries ``sum_j conj(x_ji) x_jk`` are accumulated over the rows ``j`` of
     ``X`` by elementwise multiply-adds, so every sample's entries are
     independent of its place in the chunk (a contraction over ``j`` by
-    ``einsum`` or ``matmul`` may order its sum by batch length)."""
+    ``einsum`` or ``matmul`` may order its sum by batch length).  Up to
+    ``_GATHER_COUNT`` draws a row adds all entries at once by index gathers,
+    past it entry by entry; both round the same sums, to the same bits."""
     z = _normals(seed, start, count, m.stride)
     n = m.n
     il, jl = np.tril_indices(n)
@@ -187,6 +191,13 @@ def _triangle(
     x *= math.sqrt(0.5)
     x[0, np.arange(n), np.arange(n)] += np.sqrt(np.asarray(m.a))[:, None]
     xr, xi = x
+    if count <= _GATHER_COUNT:
+        off = il != jl
+        io, jo = il[off], jl[off]
+        for r, i in zip(xr, xi):
+            re += r[il] * r[jl] + i[il] * i[jl]
+            im[off] += r[io] * i[jo] - i[io] * r[jo]
+        return re, im
     prod, term = np.empty(count), np.empty(count)
     for j in range(xr.shape[0]):
         for p, (i, k) in enumerate(zip(il, jl)):

@@ -13,6 +13,8 @@ Conventions
   an ``n``-point generalized Gauss–Laguerre rule approximates
   $\int_0^\infty f(x)\,x^\alpha e^{-x}\,dx \approx \sum_i w_i f(x_i)$,
   a Gauss–Legendre rule approximates the plain integral over ``[a, b]``.
+  Both are built by scipy, to the accuracy each states against ``mpmath``;
+  Laguerre rules need $\alpha \le 170.62$.
   A rule is the whole description of a support and its measure: every
   integral of the package is taken on one.  Its
   :attr:`~QuadratureRule.dx_weights` give the plain ``dx`` measure, and
@@ -35,8 +37,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
-from scipy.linalg import LinAlgWarning, eigh_tridiagonal, lu_factor, lu_solve
-from scipy.special import gammaln, ive
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.special import gammaln, ive, legendre_p, roots_genlaguerre, roots_legendre
 from scipy.special import hyp0f1 as _scipy_hyp0f1
 
 from .errors import (
@@ -290,9 +292,13 @@ class QuadratureRule:
         self.weights.setflags(write=False)
         if self.nodes.size != self.weights.size:
             raise DomainError("QuadratureRule: nodes and weights must match in length")
-        if self.nodes.size > 1 and not np.all(np.diff(self.nodes) > 0):
+        # array methods, not np.all/np.diff, which cost microseconds each:
+        # the ratio oracle builds a rule per panel on every call
+        if not (np.isfinite(self.nodes).all() and np.isfinite(self.weights).all()):
+            raise NumericError("QuadratureRule: non-finite node or weight")
+        if self.nodes.size > 1 and not (self.nodes[1:] > self.nodes[:-1]).all():
             raise NumericError("QuadratureRule: nodes not strictly increasing")
-        if not np.all(self.weights > 0):
+        if not (self.weights > 0).all():
             raise NumericError("QuadratureRule: nonpositive weight")
 
     @property
@@ -323,81 +329,48 @@ class QuadratureRule:
         return float(np.dot(self.weights, f(self.nodes)))
 
 
-def _golub_welsch(diag: NDArray, offdiag: NDArray, mu0: float) -> tuple[NDArray, NDArray]:
-    """Nodes and weights from the Jacobi matrix of an orthogonal family.
-
-    Nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix.
-    Weights come from the inverse Christoffel function
-    ``w_k = 1 / sum_j phat_j(x_k)^2`` (orthonormal recurrence) rather than
-    squared first eigenvector components: the latter underflow to exactly
-    zero for Gauss-Laguerre rules near n = 64, where true weights reach
-    ~1e-101.
-    """
-    n = diag.size
-    if n == 1:
-        return diag.copy(), np.array([mu0])
-    try:
-        nodes = eigh_tridiagonal(diag, offdiag, eigvals_only=True)
-    except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
-        raise ConvergenceError(f"tridiagonal eigen-solve failed: {exc}") from exc
-    nodes = np.sort(nodes)
-    # orthonormal recurrence: sqrt(b_k) phat_{k+1} = (x - a_k) phat_k - sqrt(b_{k-1}) phat_{k-1}
-    # Polynomial values at extreme nodes overflow for large rules, so nodes
-    # are rescaled on the fly and the scale recovered in log space.
-    p_prev = np.zeros_like(nodes)
-    p_cur = np.full_like(nodes, 1.0 / math.sqrt(mu0))
-    total = p_cur**2
-    rescales = np.zeros_like(nodes)
-    for k in range(n - 1):
-        p_next = ((nodes - diag[k]) * p_cur - (offdiag[k - 1] * p_prev if k > 0 else 0.0)) / offdiag[k]
-        p_prev, p_cur = p_cur, p_next
-        total += p_cur**2
-        big = np.abs(p_cur) > 1e150
-        if np.any(big):
-            c = np.where(big, 1e-150, 1.0)
-            p_prev = p_prev * c
-            p_cur = p_cur * c
-            total = total * c * c
-            rescales += big
-    log_w = -2.0 * 150.0 * math.log(10.0) * rescales - np.log(total)
-    weights = np.exp(log_w)
-    # weights below the normal floating-point range are clamped to the
-    # smallest normal double; the induced quadrature error is ~1e-308 |f|.
-    return nodes, np.maximum(weights, np.finfo(float).tiny)
-
-
 @functools.lru_cache(maxsize=64)
 def gauss_laguerre(n: int, alpha: float) -> QuadratureRule:
     r"""``n``-point generalized Gauss–Laguerre rule for
-    $\int_0^\infty f(x)\, x^\alpha e^{-x}\, dx$ (Golub–Welsch).  The rule
-    depends on ``(n, alpha)`` alone and its arrays are read-only, so each
-    rule is solved once per process and the same object is returned."""
+    $\int_0^\infty f(x)\, x^\alpha e^{-x}\, dx$, from
+    :func:`scipy.special.roots_genlaguerre`.  Weights below the normal range
+    are raised to the smallest normal double (n = 200 has one that would be
+    zero).  Each ``(n, alpha)`` is solved once per process; the rule's arrays
+    are read-only.
+
+    Tested contract, for n in {20, 64, 120} and alpha in {-0.9, 0, 1.3, 150}
+    against 50-digit ``mpmath`` zeros of $L_n^\alpha$ and their weights:
+    nodes ``5e-15`` and every weight ``3e-12`` relative (measured ``1.9e-15``
+    and ``1.3e-12``).  Past alpha = 170.62, $\Gamma(\alpha + 1)$ overflows
+    a double and :class:`NumericError` is raised."""
     if n < 1:
         raise DomainError(f"gauss_laguerre requires n >= 1, got {n}")
     if alpha <= -1:
         raise DomainError(f"gauss_laguerre requires alpha > -1, got {alpha}")
-    k = np.arange(n, dtype=float)
-    diag = 2 * k + alpha + 1
-    offdiag = np.sqrt((k[1:]) * (k[1:] + alpha))
-    mu0 = math.gamma(alpha + 1)
-    nodes, weights = _golub_welsch(diag, offdiag, mu0)
+    nodes, weights = roots_genlaguerre(n, alpha)
+    if not np.isfinite(weights).all():
+        raise NumericError(f"gauss_laguerre needs alpha <= 170.62, where Gamma(alpha + 1) "
+                           f"is a finite double, got {alpha}")
+    weights = np.maximum(weights, np.finfo(float).tiny)
     return QuadratureRule(nodes, weights, "gauss-laguerre", (alpha,))
 
 
 @functools.lru_cache(maxsize=64)
 def _legendre_unit(n: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Read-only nodes and weights of the ``n``-point rule on [-1, 1]; the
-    rule depends on ``n`` alone, so each size is solved once per process."""
-    kk = np.arange(1, n, dtype=float)
-    offdiag = kk / np.sqrt(4 * kk * kk - 1)
-    nodes, weights = _golub_welsch(np.zeros(n), offdiag, 2.0)
+    """Read-only nodes and weights of the ``n``-point rule on [-1, 1], solved
+    once per size: the nodes of ``roots_legendre``, whose own weights are
+    ``1e-12`` off at n = 64, and ``2 / ((1 - x^2) P_n'(x)^2)``."""
+    nodes = roots_legendre(n)[0]
+    weights = 2.0 / ((1.0 - nodes * nodes) * legendre_p(n, nodes, diff_n=1)[1] ** 2)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
 
 
 def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
-    r"""``n``-point Gauss–Legendre rule for $\int_a^b f(x)\,dx$."""
+    r"""``n``-point Gauss–Legendre rule for $\int_a^b f(x)\,dx$.  Tested
+    contract on [-1, 1] at n = 32 and 64, against 50-digit ``mpmath``: nodes
+    ``1e-15`` absolute, weights ``3e-13`` relative (measured ``1.1e-13``)."""
     if n < 1:
         raise DomainError(f"gauss_legendre requires n >= 1, got {n}")
     if not b > a:

@@ -33,7 +33,7 @@ from biortho import (
     sample_spectra,
 )
 from biortho import charpoly
-from biortho.charpoly import _CHUNK, _eigvalsh, _normals, _triangle
+from biortho.charpoly import _CHUNK, _GATHER_COUNT, _eigvalsh, _normals, _triangle
 from biortho.errors import CapacityError
 from biortho.numerics import max_gram_size
 
@@ -129,6 +129,17 @@ class TestSampling:
                 else:
                     scale = np.max(np.abs(low), axis=0)
                     assert np.max(np.abs(re + 1j * im - low) / scale) <= 1e-14
+
+    def test_gather_and_entry_loop_bitwise(self):
+        # a chunk of _GATHER_COUNT draws gathers each row's entries at once,
+        # one draw more goes entry by entry: the shared draws match bitwise
+        for n in (1, 2, 3, 4, 6):
+            for alpha in (0, 1, 3):
+                m = SourceModel("chiral", n, (0.3, 1.1, 0.6, 2.0, 0.0, 1.4)[:n], alpha=alpha)
+                gathered = _triangle(m, seed=17, start=3, count=_GATHER_COUNT)
+                looped = _triangle(m, seed=17, start=3, count=_GATHER_COUNT + 1)
+                for g, lp in zip(gathered, looped):
+                    assert g.tobytes() == np.ascontiguousarray(lp[:, :-1]).tobytes()
 
     def test_lapack_bitwise(self):
         # n >= 4 hands LAPACK the lower triangle alone; it reads nothing else,

@@ -511,6 +511,17 @@ class TestErrorsAndConfig:
         assert code == EXIT_NUMERIC
         assert "numeric error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("poly", "--kind", "I"),
+        ("verify", "--suite", "gram"),
+    ])
+    def test_alpha_past_gamma_overflow(self, capsys, argv):
+        # Gamma(alpha + 1) of the Laguerre rule overflows a double at 171
+        code, out, err = run(capsys, *argv, "--alpha", "171", "--a", "1.2,0.5")
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert err.startswith("numeric error:") and len(err.strip().splitlines()) == 1
+
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"ensemble": "chgue", "a": "1.1,0.4", "alpha": 1.0}))
